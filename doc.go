@@ -62,6 +62,17 @@
 // repeated python(...)/r(...) fragments — the per-task hot path of
 // ensemble workloads — are parse-free in the steady state too.
 //
+// The Tcl value model is Go strings: a value, once handed out, never
+// changes. lappend keeps that and still runs in amortized constant time
+// per element. A scalar variable may carry an append buffer (a
+// strings.Builder) that is used only while it still holds exactly the
+// variable's value; lappend grows the buffer in place, and any other
+// assignment drops it. A Builder only writes past its length, so a
+// string taken from the variable earlier (`set b $a`) is never touched.
+// A loop of n lappends, such as the member list sw:vpack builds, costs
+// O(total length) instead of O(n × length). Array elements take the
+// copying path.
+//
 // # The interlanguage engine layer (internal/lang): typed calls
 //
 // Every embedded language is wired in through one subsystem, and calls
@@ -182,6 +193,17 @@
 // numeric chunk's Num column and a packed blob with at most a slice
 // alias. The same type at every layer means no kind remapping at any
 // boundary.
+//
+// Batched subscription. A dataflow rule waits on its unclosed inputs
+// with one opSubscribe request per owning server, not one per input. The
+// request carries the subscriber rank, an id count and the ids; the reply
+// is one closed flag per id, in request order. An id already closed
+// sends no notification. The engine dedupes a rule's inputs and skips
+// ids it already knows closed or subscribed, so a vpack over n members
+// costs one subscribe RPC per server touched. A request is
+// all-or-nothing: an unknown id fails it before any subscriber is
+// registered. The server checks the id count against the frame length
+// before it allocates, as for opRetrieveChunk.
 //
 // Pooled wire buffers. mpi.Send copies each payload into a frame drawn
 // from a world-level pool; ownership transfers to the receiver, which

@@ -631,7 +631,7 @@ func TestSubscribeNotification(t *testing.T) {
 			return err
 		case 1:
 			id := <-idCh
-			closed, err := cl.Subscribe(id, cl.Rank())
+			closed, err := subscribeOne(cl, id)
 			if err != nil {
 				return err
 			}
@@ -656,6 +656,15 @@ func TestSubscribeNotification(t *testing.T) {
 	})
 }
 
+// subscribeOne subscribes the calling rank to a single id.
+func subscribeOne(cl *Client, id int64) (closed bool, err error) {
+	flags, err := cl.Subscribe([]int64{id}, cl.Rank())
+	if err != nil {
+		return false, err
+	}
+	return flags[0], nil
+}
+
 func drainShutdown(cl *Client) error {
 	for {
 		_, ok, err := cl.Get(typeControl)
@@ -673,7 +682,7 @@ func TestSubscribeAlreadyClosed(t *testing.T) {
 		id, _ := cl.Unique()
 		cl.Create(id, TypeString)
 		cl.Store(id, StringValue("done"))
-		closed, err := cl.Subscribe(id, cl.Rank())
+		closed, err := subscribeOne(cl, id)
 		if err != nil {
 			return err
 		}
@@ -733,7 +742,7 @@ func TestContainers(t *testing.T) {
 		if err := cl.Insert(c, "2", m1); err == nil {
 			return fmt.Errorf("insert into closed container succeeded")
 		}
-		closed, err := cl.Subscribe(c, cl.Rank())
+		closed, err := subscribeOne(cl, c)
 		if err != nil || !closed {
 			return fmt.Errorf("subscribe closed container: %v %v", closed, err)
 		}
@@ -820,7 +829,7 @@ func TestNotificationAcrossServers(t *testing.T) {
 		case 0:
 			// Subscribe from a client of server 0.
 			id := <-ids
-			closed, err := cl.Subscribe(id, cl.Rank())
+			closed, err := subscribeOne(cl, id)
 			if err != nil {
 				return err
 			}

@@ -538,22 +538,44 @@ func (cl *Client) StoreChunk(container int64, c chunk.Chunk) error {
 	return d.finish("store_chunk response")
 }
 
-// Subscribe registers rank for a close notification on id. If the datum is
-// already closed, closed=true is returned and no notification will be sent.
-func (cl *Client) Subscribe(id int64, rank int) (closed bool, err error) {
-	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
-		e.u8(opSubscribe)
-		e.i64(id)
-		e.i32(int32(rank))
-	})
-	if err != nil {
-		return false, err
+// Subscribe registers rank for close notifications on ids, with one RPC
+// per owning server. closed[i] reports that ids[i] was already closed, in
+// which case no notification will be sent for it. Each server's request
+// is all-or-nothing: an unknown id fails it with no subscriber registered.
+func (cl *Client) Subscribe(ids []int64, rank int) (closed []bool, err error) {
+	closed = make([]bool, len(ids))
+	groups := make(map[int][]int) // owning server rank -> indexes into ids
+	for i, id := range ids {
+		owner := cl.l.OwnerOf(id)
+		groups[owner] = append(groups[owner], i)
 	}
-	if _, err := checkStatus(d, "subscribe"); err != nil {
-		return false, err
+	for server, idxs := range groups {
+		d, err := cl.rpc(server, func(e *encoder) {
+			e.u8(opSubscribe)
+			e.i32(int32(rank))
+			e.u32(uint32(len(idxs)))
+			for _, i := range idxs {
+				e.i64(ids[i])
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := checkStatus(d, "subscribe"); err != nil {
+			return nil, err
+		}
+		n := int(d.u32())
+		if d.err == nil && n != len(idxs) {
+			return nil, fmt.Errorf("adlb: subscribe: asked for %d ids, got %d flags", len(idxs), n)
+		}
+		for _, i := range idxs {
+			closed[i] = d.boolean()
+		}
+		if err := d.finish("subscribe response"); err != nil {
+			return nil, err
+		}
 	}
-	closed = d.boolean()
-	return closed, d.finish("subscribe response")
+	return closed, nil
 }
 
 // Insert adds an existing datum as a member of a container.

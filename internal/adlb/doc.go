@@ -13,7 +13,8 @@
 //
 // The data store provides Turbine's typed futures: Create/Store/Retrieve
 // with single-assignment semantics, Subscribe for close notifications
-// (delivered as targeted work items through the normal Get path), and
+// on many ids at once (one RPC per owning server; notifications are
+// delivered as targeted work items through the normal Get path), and
 // containers with insert/lookup/enumerate plus write-refcount close
 // semantics.
 package adlb

@@ -102,6 +102,26 @@ func decodeWorkItem(d *decoder) workItem {
 	return w
 }
 
+// decodeSubscribe reads an opSubscribe request: the rank to notify, an id
+// count, then the ids. The count is checked against the bytes left in the
+// frame before anything is allocated, so a hostile count is a malformed
+// frame, not an allocation request.
+func decodeSubscribe(d *decoder) (rank int, ids []int64) {
+	rank = int(d.i32())
+	n := int(d.u32())
+	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/8) {
+		d.fail("subscribe ids")
+	}
+	if d.err != nil {
+		return 0, nil
+	}
+	ids = make([]int64, n)
+	for i := range ids {
+		ids[i] = d.i64()
+	}
+	return rank, ids
+}
+
 // DataType enumerates the value types held by the ADLB data store. These
 // mirror Turbine's typed data (TD) universe.
 type DataType uint8

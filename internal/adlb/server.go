@@ -885,25 +885,35 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		})
 
 	case opSubscribe:
-		id := d.i64()
-		rank := int(d.i32())
+		// One request subscribes rank to every listed id this server
+		// owns and answers one closed flag per id, in request order. It
+		// is all-or-nothing: an unknown id fails the request before any
+		// subscriber is registered.
+		rank, ids := decodeSubscribe(d)
 		if err := d.finish("subscribe request"); err != nil {
 			return err
 		}
-		dm, ok := s.store[id]
-		if !ok {
-			return s.respondError(client, fmt.Sprintf("subscribe: no such id %d", id))
+		dms := make([]*datum, len(ids))
+		for i, id := range ids {
+			dm, ok := s.store[id]
+			if !ok {
+				return s.respondError(client, fmt.Sprintf("subscribe: no such id %d", id))
+			}
+			dms[i] = dm
 		}
-		if dm.closed() {
-			return s.respond(client, func(e *encoder) {
-				e.u8(stOK)
-				e.boolean(true) // already closed
-			})
+		closed := make([]bool, len(dms))
+		for i, dm := range dms {
+			closed[i] = dm.closed()
+			if !closed[i] {
+				dm.subscribers = append(dm.subscribers, rank)
+			}
 		}
-		dm.subscribers = append(dm.subscribers, rank)
 		return s.respond(client, func(e *encoder) {
 			e.u8(stOK)
-			e.boolean(false)
+			e.u32(uint32(len(closed)))
+			for _, c := range closed {
+				e.boolean(c)
+			}
 		})
 
 	case opInsert:

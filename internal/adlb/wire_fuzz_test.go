@@ -30,6 +30,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seedChunk.AppendBlob([]byte{3}, 2, []int{1})
 	encodeChunk(e, seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
+	// An opSubscribe body: rank, id count, ids.
+	e = &encoder{}
+	e.i32(2)
+	e.u32(2)
+	e.i64(5)
+	e.i64(9)
+	f.Add(e.buf, int64(5), uint8(0))
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int64, tag uint8) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
@@ -37,6 +44,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			func(d *decoder) { decodeWorkItem(d) },
 			func(d *decoder) { decodeValue(d) },
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
+			func(d *decoder) {
+				// Subscribe requests: the id count is bounded by the
+				// frame before anything is allocated.
+				if _, ids := decodeSubscribe(d); d.err == nil && len(ids)*8 > len(d.buf) {
+					t.Fatalf("decoded %d ids from a %d-byte frame", len(ids), len(d.buf))
+				}
+			},
 			func(d *decoder) {
 				count := int(d.u32())
 				for i := 0; i < count && d.err == nil; i++ {

@@ -1,6 +1,7 @@
 package adlb
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -116,6 +117,68 @@ func TestDecoderRejectsTrailingGarbage(t *testing.T) {
 		decodeValue(d)
 		if err := d.finish("value"); err == nil {
 			t.Fatal("truncated frame accepted")
+		}
+	})
+}
+
+// opSubscribe carries a rank, an id count and the ids. A count the frame
+// cannot hold is rejected before anything is allocated, and a frame cut
+// short fails at its end.
+func TestDecodeSubscribeBounds(t *testing.T) {
+	frame := func(rank int32, count uint32, ids ...int64) []byte {
+		e := &encoder{}
+		e.i32(rank)
+		e.u32(count)
+		for _, id := range ids {
+			e.i64(id)
+		}
+		b, err := e.frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	t.Run("clean", func(t *testing.T) {
+		d := &decoder{buf: frame(7, 3, 11, -2, 13)}
+		rank, ids := decodeSubscribe(d)
+		if err := d.finish("subscribe"); err != nil {
+			t.Fatal(err)
+		}
+		if rank != 7 || len(ids) != 3 || ids[0] != 11 || ids[1] != -2 || ids[2] != 13 {
+			t.Fatalf("decoded rank %d ids %v", rank, ids)
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		d := &decoder{buf: frame(1, 0)}
+		if _, ids := decodeSubscribe(d); len(ids) != 0 || d.finish("subscribe") != nil {
+			t.Fatalf("empty request: ids %v err %v", ids, d.err)
+		}
+	})
+	t.Run("truncated", func(t *testing.T) {
+		b := frame(1, 3, 11, 12, 13)
+		for cut := 1; cut < len(b); cut++ {
+			d := &decoder{buf: b[:len(b)-cut]}
+			decodeSubscribe(d)
+			if err := d.finish("subscribe"); err == nil {
+				t.Fatalf("frame cut by %d bytes accepted", cut)
+			}
+		}
+	})
+	t.Run("oversized-count", func(t *testing.T) {
+		for _, count := range []uint32{3, 1 << 20} {
+			b := frame(1, count, 11, 12)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d := &decoder{buf: b}
+			_, ids := decodeSubscribe(d)
+			runtime.ReadMemStats(&after)
+			if ids != nil || d.err == nil {
+				t.Fatalf("count %d over 2 ids: ids %v err %v", count, ids, d.err)
+			}
+			// Honouring a 1<<20 count would allocate 8 MiB of ids.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4096 {
+				t.Fatalf("count %d over 2 ids allocated %d bytes", count, alloc)
+			}
 		}
 	})
 }

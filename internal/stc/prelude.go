@@ -135,9 +135,11 @@ proc sw:leafcall {name out outtype ids} {
 }
 
 # Container -> vector (vpack): fires when the container closes; chains a
-# rule on all members (which may still be open), then a worker gathers
-# them through the batched data plane (one RPC per owning server, never
-# one per element) and packs one blob TD with dims recorded. Element data
+# rule on all members (which may still be open), which subscribes to them
+# in one batched call per owning server, then a worker gathers them
+# through the batched data plane (again one RPC per owning server) and
+# packs one blob TD with dims recorded. No step costs an RPC per element,
+# and the member list grows by amortized in-place lappend. Element data
 # never renders as text anywhere on the route.
 proc sw:vpack {out elemtype c} {
     set pairs [turbine::container_enumerate $c]

@@ -616,7 +616,7 @@ func cmdVariable(in *Interp, args []string) (string, error) {
 			in.global.vars[qname] = gv
 		}
 		if i+1 < len(args) {
-			gv.target().val = args[i+1]
+			gv.target().set(args[i+1])
 		}
 		if in.frame() != in.global {
 			in.frame().vars[name] = &variable{link: gv}

@@ -33,10 +33,38 @@ func (e *RaisedError) Error() string { return e.Msg }
 
 // variable holds a scalar value or an array; upvar creates links.
 type variable struct {
-	val   string
+	val string
+	// buf is lappend's append buffer: while buf.String() == val, val can
+	// grow in place, so a loop of n lappends costs O(total length), not
+	// O(n × length). A Builder only writes past its length, so strings
+	// already handed out never change. Any other assignment drops it.
+	buf   *strings.Builder
 	arr   map[string]string
 	isArr bool
 	link  *variable // non-nil for upvar/global aliases
+}
+
+// set assigns a scalar value, dropping any append buffer.
+func (v *variable) set(value string) {
+	v.val = value
+	v.buf = nil
+}
+
+// appendList appends elems to a scalar's value as list elements, growing
+// it in place when the append buffer still holds the value.
+func (v *variable) appendList(elems []string) string {
+	if v.buf == nil || v.buf.String() != v.val {
+		v.buf = &strings.Builder{}
+		v.buf.WriteString(v.val)
+	}
+	for _, e := range elems {
+		if v.buf.Len() > 0 {
+			v.buf.WriteByte(' ')
+		}
+		v.buf.WriteString(ListElement(e))
+	}
+	v.val = v.buf.String()
+	return v.val
 }
 
 func (v *variable) target() *variable {
@@ -180,17 +208,7 @@ func (in *Interp) GetVar(name string) (string, error) {
 // SetVar assigns a variable in the current frame.
 func (in *Interp) SetVar(name, value string) error {
 	base, key, isElem := splitVarName(name)
-	f := in.frame()
-	if strings.HasPrefix(base, "::") {
-		f = in.global
-		base = base[2:]
-	}
-	v, ok := f.vars[base]
-	if !ok {
-		v = &variable{}
-		f.vars[base] = v
-	}
-	v = v.target()
+	v := in.writableVar(base)
 	if isElem {
 		if !v.isArr {
 			if v.val != "" {
@@ -205,8 +223,25 @@ func (in *Interp) SetVar(name, value string) error {
 	if v.isArr {
 		return fmt.Errorf(`tcl: can't set "%s": variable is array`, name)
 	}
-	v.val = value
+	v.set(value)
 	return nil
+}
+
+// writableVar resolves a variable (not an element) for assignment: in
+// the current frame, or the global frame for a ::name, created if absent,
+// with upvar/global links followed.
+func (in *Interp) writableVar(base string) *variable {
+	f := in.frame()
+	if strings.HasPrefix(base, "::") {
+		f = in.global
+		base = base[2:]
+	}
+	v, ok := f.vars[base]
+	if !ok {
+		v = &variable{}
+		f.vars[base] = v
+	}
+	return v.target()
 }
 
 // UnsetVar removes a variable or array element.

@@ -96,6 +96,13 @@ func cmdLappend(in *Interp, args []string) (string, error) {
 	if len(args) < 2 {
 		return "", arityErr("lappend", "varName ?value ...?")
 	}
+	// A scalar grows in place through its append buffer; array elements
+	// (and the error for an array variable) take the copying path.
+	if _, _, isElem := splitVarName(args[1]); !isElem {
+		if v := in.writableVar(args[1]); !v.isArr {
+			return v.appendList(args[2:]), nil
+		}
+	}
 	cur := ""
 	if in.VarExists(args[1]) {
 		var err error

@@ -49,21 +49,30 @@ func (e *engine) addRule(inputs []int64, r *rule) error {
 	if s := e.stats(); s != nil {
 		s.RulesCreated.Add(1)
 	}
+	// Subscribe once per id, in one batched call for the whole rule; the
+	// notification wakes all waiters.
+	var fresh []int64
+	for _, id := range inputs {
+		if !e.closed[id] && !e.subbed[id] {
+			e.subbed[id] = true
+			fresh = append(fresh, id)
+		}
+	}
+	if len(fresh) > 0 {
+		closed, err := e.env.Client.Subscribe(fresh, e.env.Rank)
+		if err != nil {
+			return err
+		}
+		for i, id := range fresh {
+			if closed[i] {
+				e.closed[id] = true
+				delete(e.subbed, id)
+			}
+		}
+	}
 	for _, id := range inputs {
 		if e.closed[id] {
 			continue
-		}
-		// Subscribe once per id; the notification wakes all waiters.
-		if !e.subbed[id] {
-			isClosed, err := e.env.Client.Subscribe(id, e.env.Rank)
-			if err != nil {
-				return err
-			}
-			if isClosed {
-				e.closed[id] = true
-				continue
-			}
-			e.subbed[id] = true
 		}
 		r.pending++
 		e.waiting[id] = append(e.waiting[id], r)

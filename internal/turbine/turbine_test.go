@@ -502,3 +502,62 @@ func TestValueFormatting(t *testing.T) {
 		t.Fatal("parseInt trim")
 	}
 }
+
+// A rule listing the same input several times subscribes to it once and
+// fires exactly once, after every distinct input has closed.
+func TestRuleDuplicateInputsFireOnce(t *testing.T) {
+	ts := &Stats{}
+	cfg := &Config{
+		Engines: 1, Servers: 1,
+		TurbineStats: ts,
+		Program: `
+			proc main {} {
+				set x [turbine::allocate integer]
+				set y [turbine::allocate integer]
+				turbine::rule [list $x $y $x $x $y] "fire $x $y"
+				turbine::put 1 0 -1 "turbine::store_integer $x 1; turbine::store_integer $y 2"
+			}
+			proc fire {x y} {
+				test::record "fired [turbine::retrieve_integer $x] [turbine::retrieve_integer $y]"
+			}
+		`,
+		Main: "main",
+	}
+	rows := runTurbine(t, 3, cfg).sorted()
+	if len(rows) != 1 || rows[0] != "fired 1 2" {
+		t.Fatalf("rows = %v", rows)
+	}
+	if n := ts.Notifications.Load(); n != 2 {
+		t.Fatalf("engine handled %d notifications, want one per distinct input (2)", n)
+	}
+}
+
+// A rule whose inputs are all closed when it is registered fires at once:
+// the batched subscribe reports them closed and no notification is sent.
+func TestRuleOnClosedInputsFiresWithoutNotification(t *testing.T) {
+	st, ts := &adlb.Stats{}, &Stats{}
+	cfg := &Config{
+		Engines: 1, Servers: 1,
+		Stats: st, TurbineStats: ts,
+		Program: `
+			proc main {} {
+				set x [turbine::allocate integer]
+				set y [turbine::allocate integer]
+				turbine::store_integer $x 3
+				turbine::store_integer $y 4
+				turbine::rule [list $x $y $x] "fire $x $y"
+			}
+			proc fire {x y} {
+				test::record "fired [turbine::retrieve_integer $x] [turbine::retrieve_integer $y]"
+			}
+		`,
+		Main: "main",
+	}
+	rows := runTurbine(t, 3, cfg).sorted()
+	if len(rows) != 1 || rows[0] != "fired 3 4" {
+		t.Fatalf("rows = %v", rows)
+	}
+	if n, m := ts.Notifications.Load(), st.Notifications.Load(); n != 0 || m != 0 {
+		t.Fatalf("notifications: engine handled %d, servers sent %d; want 0", n, m)
+	}
+}

@@ -781,9 +781,10 @@ func BenchmarkTypedFragment(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Container pack (vpack) data movement: gathering a 1e4-element array's
-// members off the data store as one batched RPC per owning server versus
-// one Retrieve RPC per element — the traffic shape behind vpack and the
-// reason the container<->vector bridge is viable at array scale.
+// members off the data store as one columnar RetrieveChunk RPC per
+// owning server versus one Retrieve RPC per element — the traffic shape
+// behind vpack and the reason the container<->vector bridge is viable at
+// array scale.
 // ---------------------------------------------------------------------
 
 func BenchmarkContainerPack(b *testing.B) {
@@ -822,21 +823,30 @@ func BenchmarkContainerPack(b *testing.B) {
 				b.ResetTimer()
 				for k := 0; k < b.N; k++ {
 					if mode == "batched" {
-						vals, err := cl.RetrieveBatch(ids)
+						ck, err := cl.RetrieveChunk(ids)
 						if err != nil {
 							return err
 						}
-						if len(vals) != n {
-							return fmt.Errorf("gathered %d values, want %d", len(vals), n)
+						if kind, ok := ck.AllKind(); !ok || kind != chunk.KindFloat || ck.Len() != n {
+							return fmt.Errorf("gathered %d rows, homogeneous float = %v", ck.Len(), ok && kind == chunk.KindFloat)
+						}
+						r := ck.Reader()
+						for i := 0; r.Next(); i++ {
+							if f := r.Float(); f != float64(i)*0.5 {
+								return fmt.Errorf("row %d = %v, want %v", i, f, float64(i)*0.5)
+							}
 						}
 					} else {
-						for _, id := range ids {
+						for i, id := range ids {
 							v, found, err := cl.Retrieve(id)
 							if err != nil {
 								return err
 							}
 							if !found || v.Type != adlb.TypeFloat {
 								return fmt.Errorf("id %d: found=%v type=%v", id, found, v.Type)
+							}
+							if f, _ := adlb.AsFloat(v); f != float64(i)*0.5 {
+								return fmt.Errorf("id %d = %v, want %v", id, f, float64(i)*0.5)
 							}
 						}
 					}
@@ -989,11 +999,11 @@ func BenchmarkGatherScatter1e6(b *testing.B) {
 		if err := cl.Create(src, adlb.TypeContainer); err != nil {
 			return err
 		}
-		seed := make([]adlb.Value, n)
-		for i := range seed {
-			seed[i] = adlb.FloatValue(float64(i) * 0.5)
+		var seed chunk.Chunk
+		for i := 0; i < n; i++ {
+			seed.AppendFloat(float64(i) * 0.5)
 		}
-		if err := cl.StoreVector(src, seed); err != nil {
+		if err := cl.StoreChunk(src, seed); err != nil {
 			return err
 		}
 		pairs, err := cl.Enumerate(src)

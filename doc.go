@@ -105,8 +105,8 @@
 //     client); blob values cross the data store with dims and element
 //     kind riding alongside the payload (adlb.Value.Dims/Elem), element
 //     bytes are never formatted as text anywhere on the route, and the
-//     whole argument vector loads in one batched call (DataPlane.LoadBatch
-//     over adlb.Client.RetrieveBatch: one RPC per owning server, never
+//     whole argument vector loads in one batched call (DataPlane.LoadChunk
+//     over adlb.Client.RetrieveChunk: one RPC per owning server, never
 //     one per argument);
 //   - core.RunCompiled iterates lang.Registered() at rank setup and
 //     installs both surfaces via lang.Install, which creates the engine
@@ -141,8 +141,8 @@
 // requires exactly integral values. Both compile to sw:vpack/sw:vunpack
 // actions carrying TD ids and the element type only; the gather waits on
 // the container and then on its members, runs as a worker leaf task, and
-// moves every element through the batched data plane (RetrieveBatch /
-// StoreVector: one RPC per owning server, one owner-local member datum
+// moves every element through the batched data plane (LoadChunk /
+// StoreChunk: one RPC per owning server, one owner-local member datum
 // per element), so a 1e4-element pack is a handful of messages rather
 // than 1e4 — and element data never renders as text. This is what turns
 // typed scalar calls into the paper's §IV array-scale ensembles: scatter
@@ -203,7 +203,7 @@
 // costs one subscribe RPC per server touched. A request is
 // all-or-nothing: an unknown id fails it before any subscriber is
 // registered. The server checks the id count against the frame length
-// before it allocates, as for opRetrieveChunk.
+// before it allocates; opRetrieveChunk decodes its id list the same way.
 //
 // Pooled wire buffers. mpi.Send copies each payload into a frame drawn
 // from a world-level pool; ownership transfers to the receiver, which
@@ -215,21 +215,21 @@
 // putEncoder, never retaining the encoder or its buffer past the Send.
 //
 // The zero-copy aliasing contract. Payload slices returned by
-// adlb.Client.Retrieve, RetrieveBatch, and RetrieveChunk alias the RPC
-// response frame. They are valid until the next call on the same
-// Client returns: that call retires the pinned frames at its start and
+// adlb.Client.Retrieve and RetrieveChunk alias the RPC response
+// frame. They are valid until the next call on the same Client
+// returns: that call retires the pinned frames at its start and
 // releases them only after its own request is on the wire (encode may
-// legitimately read a retired frame — a retrieved blob stored straight
-// back). Consumers that keep payloads longer must copy on escape —
-// turbine's fromStore copies blob bytes because engines retain argv
-// bindings across later data-plane calls, and lang.ChunkToValues takes
-// copyBytes for the same reason — while bulk paths that finish inside
-// the window (vpack, vunpack, the gather/scatter benchmark) stay
-// zero-copy. On the server side the mirror rule: request frames are
-// released after handling except for store-class ops, whose decoded
-// value bytes alias the frame for the datum's lifetime (zero-copy
-// store), and mutating a stale client view never corrupts a datum
-// (adlb.TestZeroCopyAliasingContract).
+// legitimately read a retired frame — a retrieved blob stored
+// straight back). Consumers that keep payloads longer must copy on
+// escape — turbine's fromStore copies blob bytes because engines
+// retain argv bindings across later data-plane calls, and
+// lang.ChunkToValues takes copyBytes for the same reason — while bulk
+// paths that finish inside the window (vpack, vunpack, the
+// gather/scatter benchmark) stay zero-copy. On the server side the
+// mirror rule: request frames are released after handling except for
+// store-class ops, whose decoded value bytes alias the frame for the
+// datum's lifetime (zero-copy store), and mutating a stale client
+// view never corrupts a datum (adlb.TestZeroCopyAliasingContract).
 //
 // # Transport
 //

@@ -32,16 +32,17 @@ const (
 	opUnique
 	opExists
 	opTypeOf
-	// Batched data-plane ops: the container<->vector bridge needs bulk
-	// element traffic to cost O(servers) RPCs, not O(elements).
-	opRetrieveBatch // many ids -> many values, one RPC per owning server
-	opStoreVector   // container + values -> owner-local member data, one RPC
+	// Retired boxed batch ops (14, 15). The values stay reserved so a peer
+	// built before their removal is never misread as sending another op.
+	_
+	_
 	// Fault-tolerance ops: lease settlement and client departure.
 	opFail  // report a leased task failed; server requeues or poisons
 	opLeave // client departs; server reclaims its leases and unregisters it
-	// Columnar data-plane ops: batched element traffic as one chunk frame
-	// (contiguous typed columns) instead of N boxed per-value encodings.
-	opRetrieveChunk // many ids -> one columnar chunk
+	// Batched data-plane ops: the container<->vector bridge needs bulk
+	// element traffic to cost O(servers) RPCs, not O(elements), and the
+	// values travel as one chunk frame (contiguous typed columns).
+	opRetrieveChunk // many ids -> one columnar chunk, one RPC per owning server
 	opStoreChunk    // container + chunk -> owner-local member data, one RPC
 	// Serving op: a long-lived client declares itself pinned, holding the
 	// world open across idle periods (see Client.Pin).
@@ -102,24 +103,38 @@ func decodeWorkItem(d *decoder) workItem {
 	return w
 }
 
-// decodeSubscribe reads an opSubscribe request: the rank to notify, an id
-// count, then the ids. The count is checked against the bytes left in the
-// frame before anything is allocated, so a hostile count is a malformed
-// frame, not an allocation request.
-func decodeSubscribe(d *decoder) (rank int, ids []int64) {
-	rank = int(d.i32())
+// encodeIDs writes the id list of a batched request: the count, then
+// ids[i] for each index in idxs (the ids one owning server holds).
+func encodeIDs(e *encoder, ids []int64, idxs []int) {
+	e.u32(uint32(len(idxs)))
+	for _, i := range idxs {
+		e.i64(ids[i])
+	}
+}
+
+// decodeIDs reads an id list written by encodeIDs. The count is checked
+// against the bytes left in the frame before anything is allocated, so a
+// hostile count is a malformed frame, not an allocation request.
+func decodeIDs(d *decoder, what string) []int64 {
 	n := int(d.u32())
 	if d.err == nil && (n < 0 || n > (len(d.buf)-d.off)/8) {
-		d.fail("subscribe ids")
+		// Division keeps the bound overflow-free on 32-bit ints.
+		d.fail(what)
 	}
 	if d.err != nil {
-		return 0, nil
+		return nil
 	}
-	ids = make([]int64, n)
+	ids := make([]int64, n)
 	for i := range ids {
 		ids[i] = d.i64()
 	}
-	return rank, ids
+	return ids
+}
+
+// decodeSubscribe reads an opSubscribe request: the rank to notify, then
+// the id list.
+func decodeSubscribe(d *decoder) (rank int, ids []int64) {
+	return int(d.i32()), decodeIDs(d, "subscribe ids")
 }
 
 // DataType enumerates the value types held by the ADLB data store. These

@@ -30,13 +30,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seedChunk.AppendBlob([]byte{3}, 2, []int{1})
 	encodeChunk(e, seedChunk)
 	f.Add(e.buf, int64(3), uint8(1))
-	// An opSubscribe body: rank, id count, ids.
+	// An opSubscribe body: rank, then the id list.
 	e = &encoder{}
 	e.i32(2)
-	e.u32(2)
-	e.i64(5)
-	e.i64(9)
+	encodeIDs(e, []int64{5, 9}, []int{0, 1})
 	f.Add(e.buf, int64(5), uint8(0))
+	// An opRetrieveChunk body: the id list alone.
+	e = &encoder{}
+	encodeIDs(e, []int64{5, 9, -3}, []int{2, 0})
+	f.Add(e.buf, int64(9), uint8(3))
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int64, tag uint8) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
@@ -45,16 +47,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 			func(d *decoder) { decodeValue(d) },
 			func(d *decoder) { d.u8(); d.str(); d.i64(); d.boolean() },
 			func(d *decoder) {
-				// Subscribe requests: the id count is bounded by the
-				// frame before anything is allocated.
+				// Subscribe and retrieve_chunk requests: the id count is
+				// bounded by the frame before anything is allocated.
 				if _, ids := decodeSubscribe(d); d.err == nil && len(ids)*8 > len(d.buf) {
-					t.Fatalf("decoded %d ids from a %d-byte frame", len(ids), len(d.buf))
+					t.Fatalf("decoded %d subscribe ids from a %d-byte frame", len(ids), len(d.buf))
 				}
 			},
 			func(d *decoder) {
-				count := int(d.u32())
-				for i := 0; i < count && d.err == nil; i++ {
-					decodeValue(d)
+				if ids := decodeIDs(d, "fuzz ids"); d.err == nil && len(ids)*8 > len(d.buf) {
+					t.Fatalf("decoded %d ids from a %d-byte frame", len(ids), len(d.buf))
 				}
 			},
 			func(d *decoder) {
@@ -137,6 +138,35 @@ func FuzzWireRoundTrip(f *testing.F) {
 		d.boolean()
 		if err := d.finish("round trip"); err == nil {
 			t.Fatal("trailing garbage accepted")
+		}
+
+		// Id lists: the owner's subset of ids, in index order, survives
+		// encode -> decode and rejects a trailing byte.
+		ids := []int64{n, int64(tag), -n, int64(len(raw))}
+		idxs := []int{3, int(tag % 4), 0}
+		e = &encoder{}
+		encodeIDs(e, ids, idxs)
+		frame, err = e.frame()
+		if err != nil {
+			t.Fatalf("id list encode failed: %v", err)
+		}
+		d = &decoder{buf: frame}
+		gotIDs := decodeIDs(d, "id list round trip")
+		if err := d.finish("id list round trip"); err != nil {
+			t.Fatalf("clean id list round trip rejected: %v", err)
+		}
+		if len(gotIDs) != len(idxs) {
+			t.Fatalf("id list round trip: got %v for indexes %v of %v", gotIDs, idxs, ids)
+		}
+		for j, i := range idxs {
+			if gotIDs[j] != ids[i] {
+				t.Fatalf("id list round trip: got %v for indexes %v of %v", gotIDs, idxs, ids)
+			}
+		}
+		d = &decoder{buf: append(append([]byte(nil), frame...), 0x5A)}
+		decodeIDs(d, "id list round trip")
+		if err := d.finish("id list round trip"); err == nil {
+			t.Fatal("id list trailing garbage accepted")
 		}
 
 		// 3. Chunk frame round-trip identity: a chunk synthesized from the

@@ -182,3 +182,20 @@ func TestDecodeSubscribeBounds(t *testing.T) {
 		}
 	})
 }
+
+// Opcode byte values are wire format: a hub and a worker process built
+// from different commits must agree on them, so removing an op retires
+// its value (14 and 15 are reserved) instead of renumbering the rest.
+func TestOpcodeValuesAreStable(t *testing.T) {
+	ops := []uint8{
+		opPut, opGet, opCreate, opStore, opRetrieve, opSubscribe, opInsert,
+		opLookup, opEnumerate, opWriteRefcount, opUnique, opExists, opTypeOf,
+		opFail, opLeave, opRetrieveChunk, opStoreChunk, opPin,
+	}
+	want := []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20}
+	for i := range ops {
+		if ops[i] != want[i] {
+			t.Errorf("opcode %d has value %d, want %d", i, ops[i], want[i])
+		}
+	}
+}

@@ -239,34 +239,26 @@ type DataPlane interface {
 	// Load retrieves a closed TD as a typed Value (blob TDs keep their
 	// dims and element kind).
 	Load(id int64) (Value, error)
-	// LoadBatch retrieves many closed TDs at once, in order. Over ADLB
-	// this costs one RPC per owning server rather than one per id, which
-	// is what makes container-scale gathers (vpack, multi-argument typed
-	// calls) cheap.
-	LoadBatch(ids []int64) ([]Value, error)
 	// StoreAs stores a typed value into a TD of the named turbine type
 	// ("integer", "float", "string", "blob", "void"), converting where
 	// the kinds differ.
 	StoreAs(id int64, td string, v Value) error
-	// StoreVector appends element values of the named turbine type to a
-	// container TD in a single batched store: one closed member TD per
-	// element, at consecutive integer subscripts after any existing
-	// members (0..len(elems)-1 for an empty container). The container's
-	// write refcount is untouched; the caller drops its reference when
-	// construction is complete.
-	StoreVector(container int64, td string, elems []Value) error
-	// LoadChunk retrieves many closed TDs as one columnar Chunk (row i
-	// is ids[i]): the allocation-free counterpart of LoadBatch — a
+	// LoadChunk retrieves many closed TDs as one columnar Chunk, in
+	// order (row i is ids[i]). Over ADLB this costs one RPC per owning
+	// server rather than one per id, which is what makes container-scale
+	// gathers (vpack, multi-argument typed calls) cheap, and a
 	// million-float gather is two column buffers, not a million boxed
-	// values. Over ADLB the chunk's columns may alias the RPC response
-	// frame, valid until the next data-plane call; callers either finish
-	// with the rows before then (gather -> pack -> store, one contiguous
+	// values. The chunk's columns may alias the RPC response frame,
+	// valid until the next data-plane call; callers either finish with
+	// the rows before then (gather -> pack -> store, one contiguous
 	// window) or copy rows out.
 	LoadChunk(ids []int64) (Chunk, error)
 	// StoreChunk appends a columnar chunk to a container TD in a single
-	// batched store, the Chunk counterpart of StoreVector: one closed
-	// member TD per row at consecutive integer subscripts. The rows'
-	// kinds choose the member types (int row -> integer TD, etc).
+	// batched store: one closed member TD per row, at consecutive
+	// integer subscripts after any existing members (0..c.Len()-1 for an
+	// empty container). The rows' kinds choose the member types (int row
+	// -> integer TD, etc). The container's write refcount is untouched;
+	// the caller drops its reference when construction is complete.
 	StoreChunk(container int64, c Chunk) error
 }
 

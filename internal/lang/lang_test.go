@@ -335,22 +335,14 @@ func (p *memPlane) Load(id int64) (Value, error) {
 	return v, nil
 }
 
-func (p *memPlane) LoadBatch(ids []int64) ([]Value, error) {
-	out := make([]Value, len(ids))
+func (p *memPlane) LoadChunk(ids []int64) (Chunk, error) {
+	vals := make([]Value, len(ids))
 	for i, id := range ids {
 		v, err := p.Load(id)
 		if err != nil {
-			return nil, err
+			return Chunk{}, err
 		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (p *memPlane) LoadChunk(ids []int64) (Chunk, error) {
-	vals, err := p.LoadBatch(ids)
-	if err != nil {
-		return Chunk{}, err
+		vals[i] = v
 	}
 	return ValuesToChunk(vals)
 }
@@ -360,22 +352,18 @@ func (p *memPlane) StoreChunk(container int64, c Chunk) error {
 	if err != nil {
 		return err
 	}
-	return p.StoreVector(container, "chunk", elems)
+	// The in-memory plane has no containers; record the rows under
+	// synthetic member ids so tests can observe what was stored.
+	p.tds[container] = "container/chunk"
+	for i, v := range elems {
+		p.vals[container*1000+int64(i)] = v
+	}
+	return nil
 }
 
 func (p *memPlane) StoreAs(id int64, td string, v Value) error {
 	p.vals[id] = v
 	p.tds[id] = td
-	return nil
-}
-
-func (p *memPlane) StoreVector(container int64, td string, elems []Value) error {
-	// The in-memory plane has no containers; record the elements under
-	// synthetic member ids so tests can observe what was stored.
-	p.tds[container] = "container/" + td
-	for i, v := range elems {
-		p.vals[container*1000+int64(i)] = v
-	}
 	return nil
 }
 

@@ -5,8 +5,8 @@ package turbine
 // embedded engines through this adapter, so numeric and blob payloads
 // cross the boundary as typed values — blob bytes flow store -> engine
 // -> store with their dims and element kind intact, and nothing is
-// formatted as text unless a string slot demands it. The batch surface
-// (LoadBatch, StoreVector) backs the container<->vector bridge: gathers
+// formatted as text unless a string slot demands it. The chunk surface
+// (LoadChunk, StoreChunk) backs the container<->vector bridge: gathers
 // and scatters cost one RPC per owning server, not one per element.
 
 import (
@@ -100,25 +100,6 @@ func (p dataPlane) Load(id int64) (lang.Value, error) {
 	return lv, nil
 }
 
-// LoadBatch retrieves many closed TDs in order, using the ADLB batched
-// gather (one RPC per owning server rather than one per id).
-func (p dataPlane) LoadBatch(ids []int64) ([]lang.Value, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	vals, err := p.cl.RetrieveBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]lang.Value, len(vals))
-	for i, v := range vals {
-		if out[i], err = fromStore(v); err != nil {
-			return nil, fmt.Errorf("turbine: data plane: id %d: %w", ids[i], err)
-		}
-	}
-	return out, nil
-}
-
 // StoreAs stores a typed value into a TD of the named turbine type,
 // converting where the kinds differ.
 func (p dataPlane) StoreAs(id int64, td string, v lang.Value) error {
@@ -141,27 +122,12 @@ func (p dataPlane) LoadChunk(ids []int64) (lang.Chunk, error) {
 }
 
 // StoreChunk appends a columnar chunk to a container TD in one RPC to
-// the container's owner, the chunk counterpart of StoreVector. The
-// caller keeps (and eventually drops) the container's write reference.
+// the container's owner (consecutive integer subscripts after any
+// existing members). The caller keeps (and eventually drops) the
+// container's write reference.
 func (p dataPlane) StoreChunk(container int64, c lang.Chunk) error {
 	if err := faultinject.At(faultinject.SiteDataPlaneStore); err != nil {
 		return err
 	}
 	return p.cl.StoreChunk(container, c)
-}
-
-// StoreVector appends elements of the named turbine type to a container
-// TD in one batched RPC to the container's owner (consecutive integer
-// subscripts after any existing members). The caller keeps (and
-// eventually drops) the container's write reference.
-func (p dataPlane) StoreVector(container int64, td string, elems []lang.Value) error {
-	vals := make([]adlb.Value, len(elems))
-	for i, v := range elems {
-		sv, err := toStore(td, v)
-		if err != nil {
-			return fmt.Errorf("turbine: data plane: element %d: %w", i, err)
-		}
-		vals[i] = sv
-	}
-	return p.cl.StoreVector(container, vals)
 }

@@ -205,6 +205,21 @@
 // registered. The server checks the id count against the frame length
 // before it allocates; opRetrieveChunk decodes its id list the same way.
 //
+// Literals closed at birth. Single assignment means a constant never
+// needs a separate store. opCreate carries a mandatory presence byte,
+// optionally followed by a value: with one, adlb.Client.CreateClosed
+// makes the datum already set, in one RPC, under opStore's type checks.
+// Each rank keeps a table of the literals it has made, keyed by type and
+// value bits, so 1, 1.0 and "1" stay distinct and so do -0.0 and 0.0.
+// The first turbine::literal_* use of a constant costs Unique +
+// CreateClosed; every later use returns the same id with no RPC, and
+// turbine::retrieve_* answers the rank's own literals locally. The table
+// is capped and cleared when full; the ids it forgets stay valid. An
+// engine also counts the literals it made and the ids it stored itself
+// (turbine::store_*, and so sw:binop) as known closed, so a rule on
+// them registers without a Subscribe, and a rule whose inputs are all
+// known closed fires with no RPC at all.
+//
 // Pooled wire buffers. mpi.Send copies each payload into a frame drawn
 // from a world-level pool; ownership transfers to the receiver, which
 // hands it back via Comm.Release once every slice aliasing it is dead
@@ -228,7 +243,9 @@
 // gather/scatter benchmark) stay zero-copy. On the server side the
 // mirror rule: request frames are released after handling except for
 // store-class ops, whose decoded value bytes alias the frame for the
-// datum's lifetime (zero-copy store), and mutating a stale client
+// datum's lifetime (zero-copy store). A create-closed copies its value
+// out instead, so create frames always go back to the pool. Mutating a
+// stale client
 // view never corrupts a datum (adlb.TestZeroCopyAliasingContract).
 //
 // # Transport

@@ -25,6 +25,14 @@ func testConfig(servers int) Config {
 // clientFn is invoked on client ranks.
 func runWorld(t *testing.T, size, servers int, clientFn func(cl *Client) error) StatsSnapshot {
 	t.Helper()
+	st, _ := runWorldServers(t, size, servers, clientFn)
+	return st
+}
+
+// runWorldServers is runWorld that also hands back the server states
+// once the world has drained, so a test can inspect the data store.
+func runWorldServers(t *testing.T, size, servers int, clientFn func(cl *Client) error) (StatsSnapshot, []*server) {
+	t.Helper()
 	cfg := testConfig(servers)
 	w, err := mpi.NewWorld(size)
 	if err != nil {
@@ -34,10 +42,16 @@ func runWorld(t *testing.T, size, servers int, clientFn func(cl *Client) error) 
 		w.Abort(fmt.Errorf("test watchdog: world hung"))
 	})
 	defer fail.Stop()
+	var mu sync.Mutex
+	var ss []*server
 	err = w.Run(func(c *mpi.Comm) error {
 		l := NewLayout(size, servers)
 		if l.IsServer(c.Rank()) {
-			return Serve(c, cfg)
+			s := newServer(c, cfg, l)
+			mu.Lock()
+			ss = append(ss, s)
+			mu.Unlock()
+			return s.run()
 		}
 		cl, err := NewClient(c, cfg)
 		if err != nil {
@@ -48,7 +62,7 @@ func runWorld(t *testing.T, size, servers int, clientFn func(cl *Client) error) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg.Stats.Snapshot()
+	return cfg.Stats.Snapshot(), ss
 }
 
 func TestConfigValidate(t *testing.T) {

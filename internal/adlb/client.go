@@ -305,10 +305,21 @@ func (cl *Client) Unique() (int64, error) {
 // Create allocates a datum of the given type under id (id must come from
 // Unique so that ownership routes correctly).
 func (cl *Client) Create(id int64, typ DataType) error {
+	return cl.create(id, typ, nil)
+}
+
+// CreateClosed allocates id already set to v — closed at birth, in one
+// RPC instead of Create + Store. The server applies Store's checks (a
+// container cannot carry a value) and creates nothing on rejection; a
+// later Store to id is a single-assignment violation.
+func (cl *Client) CreateClosed(id int64, v Value) error {
+	return cl.create(id, v.Type, &v)
+}
+
+func (cl *Client) create(id int64, typ DataType, v *Value) error {
 	d, err := cl.rpc(cl.l.OwnerOf(id), func(e *encoder) {
 		e.u8(opCreate)
-		e.i64(id)
-		e.u8(uint8(typ))
+		encodeCreate(e, id, typ, v)
 	})
 	if err != nil {
 		return err

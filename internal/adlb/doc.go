@@ -12,9 +12,11 @@
 // Get returns "no more work" and the deployment shuts down.
 //
 // The data store provides Turbine's typed futures: Create/Store/Retrieve
-// with single-assignment semantics, Subscribe for close notifications
-// on many ids at once (one RPC per owning server; notifications are
-// delivered as targeted work items through the normal Get path), and
-// containers with insert/lookup/enumerate plus write-refcount close
-// semantics.
+// with single-assignment semantics, CreateClosed to create a datum
+// already set in one RPC (Turbine's literals: opCreate's presence byte
+// says whether a value follows, and the server applies Store's checks),
+// Subscribe for close notifications on many ids at once (one RPC per
+// owning server; notifications are delivered as targeted work items
+// through the normal Get path), and containers with
+// insert/lookup/enumerate plus write-refcount close semantics.
 package adlb

@@ -131,6 +131,34 @@ func decodeIDs(d *decoder, what string) []int64 {
 	return ids
 }
 
+// encodeCreate writes an opCreate body: the id, the type, then a
+// presence byte — 1 when v is non-nil and follows, creating the datum
+// already closed with that value, 0 when it is created unset.
+func encodeCreate(e *encoder, id int64, typ DataType, v *Value) {
+	e.i64(id)
+	e.u8(uint8(typ))
+	e.boolean(v != nil)
+	if v != nil {
+		encodeValue(e, *v)
+	}
+}
+
+// decodeCreate reads an opCreate body written by encodeCreate. The
+// presence byte is mandatory and must be 0 or 1, so a body without it
+// is a malformed frame rather than an unset create.
+func decodeCreate(d *decoder) (id int64, typ DataType, v Value, closed bool) {
+	id = d.i64()
+	typ = DataType(d.u8())
+	switch d.u8() {
+	case 0:
+	case 1:
+		v, closed = decodeValue(d), true
+	default:
+		d.fail("create presence byte")
+	}
+	return id, typ, v, closed
+}
+
 // decodeSubscribe reads an opSubscribe request: the rank to notify, then
 // the id list.
 func decodeSubscribe(d *decoder) (rank int, ids []int64) {

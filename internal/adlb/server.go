@@ -824,11 +824,25 @@ func (s *server) handleUnique(d *decoder, client int) error {
 
 // ---------- data store ----------
 
+// unstorable says why v cannot be the value of a datum of type typ, or
+// returns "" when it can: containers carry no value, and a typed datum
+// takes only its own type (void accepts any).
+func unstorable(typ DataType, v Value) string {
+	if typ == TypeContainer {
+		return "is a container"
+	}
+	if v.Type != typ && typ != TypeVoid {
+		return fmt.Sprintf("is %v, value is %v", typ, v.Type)
+	}
+	return ""
+}
+
 func (s *server) handleData(op uint8, d *decoder, client int) error {
 	switch op {
 	case opCreate:
-		id := d.i64()
-		typ := DataType(d.u8())
+		// A create may carry a value, making the datum closed at birth:
+		// one RPC instead of Create + Store, under Store's checks.
+		id, typ, v, closed := decodeCreate(d)
 		if err := d.finish("create request"); err != nil {
 			return err
 		}
@@ -839,6 +853,16 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		if typ == TypeContainer {
 			dm.members = make(map[string]int64)
 			dm.writeRefs = 1
+		}
+		if closed {
+			if why := unstorable(typ, v); why != "" {
+				return s.respondError(client, fmt.Sprintf("create: id %d %s", id, why))
+			}
+			// The request frame goes back to the pool after this op (see
+			// retainsRequestFrame), so the datum keeps a copy, not an alias.
+			v.Bytes = append([]byte(nil), v.Bytes...)
+			dm.val = v
+			dm.set = true
 		}
 		s.store[id] = dm
 		return s.respond(client, func(e *encoder) { e.u8(stOK) })
@@ -856,11 +880,8 @@ func (s *server) handleData(op uint8, d *decoder, client int) error {
 		if dm.set {
 			return s.respondError(client, fmt.Sprintf("store: id %d already set (single-assignment violation)", id))
 		}
-		if dm.typ == TypeContainer {
-			return s.respondError(client, fmt.Sprintf("store: id %d is a container", id))
-		}
-		if v.Type != dm.typ && dm.typ != TypeVoid {
-			return s.respondError(client, fmt.Sprintf("store: id %d is %v, value is %v", id, dm.typ, v.Type))
+		if why := unstorable(dm.typ, v); why != "" {
+			return s.respondError(client, fmt.Sprintf("store: id %d %s", id, why))
 		}
 		dm.val = v
 		dm.set = true

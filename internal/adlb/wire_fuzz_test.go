@@ -39,6 +39,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 	e = &encoder{}
 	encodeIDs(e, []int64{5, 9, -3}, []int{2, 0})
 	f.Add(e.buf, int64(9), uint8(3))
+	// opCreate bodies: unset, and closed at birth with a value.
+	e = &encoder{}
+	encodeCreate(e, 11, TypeContainer, nil)
+	f.Add(e.buf, int64(11), uint8(5))
+	e = &encoder{}
+	sv := StringValue("lit")
+	encodeCreate(e, 12, TypeString, &sv)
+	f.Add(e.buf, int64(12), uint8(3))
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int64, tag uint8) {
 		// 1. Decoder robustness: arbitrary input, all decode shapes.
@@ -53,6 +61,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 					t.Fatalf("decoded %d subscribe ids from a %d-byte frame", len(ids), len(d.buf))
 				}
 			},
+			func(d *decoder) { decodeCreate(d) },
 			func(d *decoder) {
 				if ids := decodeIDs(d, "fuzz ids"); d.err == nil && len(ids)*8 > len(d.buf) {
 					t.Fatalf("decoded %d ids from a %d-byte frame", len(ids), len(d.buf))
@@ -167,6 +176,34 @@ func FuzzWireRoundTrip(f *testing.F) {
 		decodeIDs(d, "id list round trip")
 		if err := d.finish("id list round trip"); err == nil {
 			t.Fatal("id list trailing garbage accepted")
+		}
+
+		// Create bodies, with and without a value, survive encode ->
+		// decode and reject a trailing byte.
+		for _, cv := range []*Value{nil, &v} {
+			e = &encoder{}
+			encodeCreate(e, n, v.Type, cv)
+			frame, err = e.frame()
+			if err != nil {
+				t.Fatalf("create encode failed: %v", err)
+			}
+			d = &decoder{buf: frame}
+			gotID, gotT, gotCV, gotClosed := decodeCreate(d)
+			if err := d.finish("create round trip"); err != nil {
+				t.Fatalf("clean create round trip rejected: %v", err)
+			}
+			if gotID != n || gotT != v.Type || gotClosed != (cv != nil) {
+				t.Fatalf("create round trip: got id=%d type=%v closed=%v", gotID, gotT, gotClosed)
+			}
+			if cv != nil && (gotCV.Type != v.Type || !bytes.Equal(gotCV.Bytes, v.Bytes) ||
+				gotCV.Elem != v.Elem || len(gotCV.Dims) != len(v.Dims)) {
+				t.Fatalf("create value round trip: got %+v want %+v", gotCV, v)
+			}
+			d = &decoder{buf: append(append([]byte(nil), frame...), 0x5A)}
+			decodeCreate(d)
+			if err := d.finish("create round trip"); err == nil {
+				t.Fatal("create trailing garbage accepted")
+			}
 		}
 
 		// 3. Chunk frame round-trip identity: a chunk synthesized from the

@@ -171,30 +171,34 @@ func TestElasticWorkerSIGKILLMidTask(t *testing.T) {
 	stats := &adlb.Stats{}
 	var wg sync.WaitGroup
 	res, err := ServeElastic(compiled, ElasticConfig{
-		MinWorkers:  2,
+		// The run starts with the victim as its only worker, so the first
+		// leaf task is necessarily the victim's: no race with a healthy
+		// worker that could drain the queue first.
+		MinWorkers:  1,
 		WorkerSlots: 3,
 		Stats:       stats,
 		OnListen: func(addr string) {
-			// The victim: a real OS process that stalls on its first leaf
-			// task, then dies by SIGKILL while the lease is outstanding.
-			wg.Add(1)
+			wg.Add(2)
 			go func() {
 				defer wg.Done()
+				// The victim: a real OS process that stalls on its first
+				// leaf task, then dies by SIGKILL while the lease is
+				// outstanding.
 				kill, held := startVictim(t, addr)
 				select {
 				case <-held:
-					kill()
 				case <-time.After(60 * time.Second):
 					t.Error("victim never held a task")
 				}
-			}()
-			// A healthy worker carries the rest of the run.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := ElasticWorker(addr, io.Discard); err != nil {
-					t.Errorf("healthy worker: %v", err)
-				}
+				// Only now does a healthy worker join, to carry the rest
+				// of the run and the reclaimed task.
+				go func() {
+					defer wg.Done()
+					if err := ElasticWorker(addr, io.Discard); err != nil {
+						t.Errorf("healthy worker: %v", err)
+					}
+				}()
+				kill()
 			}()
 		},
 	})

@@ -2,6 +2,7 @@ package turbine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/adlb"
@@ -93,7 +94,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		return "", cl.Store(id, adlb.IntValue(v))
+		return "", env.store(id, adlb.IntValue(v))
 	})
 	reg("store_float", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 3 {
@@ -107,7 +108,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		return "", cl.Store(id, adlb.FloatValue(v))
+		return "", env.store(id, adlb.FloatValue(v))
 	})
 	reg("store_string", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 3 {
@@ -117,7 +118,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		return "", cl.Store(id, adlb.StringValue(args[2]))
+		return "", env.store(id, adlb.StringValue(args[2]))
 	})
 	reg("store_blob", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 3 {
@@ -127,7 +128,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		return "", cl.Store(id, adlb.BlobValue([]byte(args[2])))
+		return "", env.store(id, adlb.BlobValue([]byte(args[2])))
 	})
 	reg("store_void", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
@@ -137,12 +138,12 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		return "", cl.Store(id, adlb.VoidValue())
+		return "", env.store(id, adlb.VoidValue())
 	})
 
 	// Typed retrieves.
 	reg("retrieve_integer", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeInteger)
+		v, err := env.mustRetrieve(args, adlb.TypeInteger)
 		if err != nil {
 			return "", err
 		}
@@ -153,7 +154,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return fmtInt(n), nil
 	})
 	reg("retrieve_float", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeFloat)
+		v, err := env.mustRetrieve(args, adlb.TypeFloat)
 		if err != nil {
 			return "", err
 		}
@@ -164,14 +165,14 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return fmtFloat(f), nil
 	})
 	reg("retrieve_string", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeString)
+		v, err := env.mustRetrieve(args, adlb.TypeString)
 		if err != nil {
 			return "", err
 		}
 		return adlb.AsString(v)
 	})
 	reg("retrieve_blob", func(in *tcl.Interp, args []string) (string, error) {
-		v, err := mustRetrieve(cl, args, adlb.TypeBlob)
+		v, err := env.mustRetrieve(args, adlb.TypeBlob)
 		if err != nil {
 			return "", err
 		}
@@ -196,7 +197,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		v, found, err := cl.Retrieve(src)
+		v, found, err := env.load(src)
 		if err != nil {
 			return "", err
 		}
@@ -206,7 +207,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if v.Type != adlb.TypeBlob {
 			return "", fmt.Errorf("turbine: copy_blob: id %d is %v", src, v.Type)
 		}
-		return "", cl.Store(dst, v)
+		return "", env.store(dst, v)
 	})
 
 	// Generic retrieve: render by stored type.
@@ -218,7 +219,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		v, found, err := cl.Retrieve(id)
+		v, found, err := env.load(id)
 		if err != nil {
 			return "", err
 		}
@@ -563,7 +564,8 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		return "", dp.StoreChunk(out, sc)
 	})
 
-	// Literal helpers collapse allocate+store for compiled constants.
+	// Literal helpers: compiled constants come from the rank's literal
+	// table — created closed on first use, shared afterwards.
 	reg("literal_integer", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", fmt.Errorf("usage: turbine::literal_integer <value>")
@@ -572,11 +574,7 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		id, err := allocStore(cl, adlb.TypeInteger, adlb.IntValue(v))
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
+		return env.literal(literalKey{typ: adlb.TypeInteger, bits: uint64(v)})
 	})
 	reg("literal_float", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
@@ -586,39 +584,100 @@ func registerDataCmds(in *tcl.Interp, env *Env) {
 		if err != nil {
 			return "", err
 		}
-		id, err := allocStore(cl, adlb.TypeFloat, adlb.FloatValue(v))
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
+		return env.literal(literalKey{typ: adlb.TypeFloat, bits: math.Float64bits(v)})
 	})
 	reg("literal_string", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) != 2 {
 			return "", fmt.Errorf("usage: turbine::literal_string <value>")
 		}
-		id, err := allocStore(cl, adlb.TypeString, adlb.StringValue(args[1]))
-		if err != nil {
-			return "", err
-		}
-		return fmtInt(id), nil
+		return env.literal(literalKey{typ: adlb.TypeString, str: args[1]})
 	})
 }
 
-func allocStore(cl *adlb.Client, typ adlb.DataType, v adlb.Value) (int64, error) {
-	id, err := cl.Unique()
-	if err != nil {
-		return 0, err
-	}
-	if err := cl.Create(id, typ); err != nil {
-		return 0, err
-	}
-	if err := cl.Store(id, v); err != nil {
-		return 0, err
-	}
-	return id, nil
+// maxLiterals caps one rank's literal table. A full table is cleared:
+// the ids it forgets stay valid in the store, and a later use of the
+// same constant just creates a fresh id.
+const maxLiterals = 4096
+
+// literalKey identifies a literal by type and value bits, so 1, 1.0 and
+// "1" stay distinct and so do -0.0 and 0.0.
+type literalKey struct {
+	typ  adlb.DataType
+	bits uint64 // integer value, or float IEEE bits
+	str  string // string value
 }
 
-func mustRetrieve(cl *adlb.Client, args []string, want adlb.DataType) (adlb.Value, error) {
+func (k literalKey) value() adlb.Value {
+	switch k.typ {
+	case adlb.TypeInteger:
+		return adlb.IntValue(int64(k.bits))
+	case adlb.TypeFloat:
+		return adlb.FloatValue(math.Float64frombits(k.bits))
+	}
+	return adlb.StringValue(k.str)
+}
+
+// literals is one rank's table of interned constants. Single assignment
+// makes sharing safe: a literal TD is closed at birth and never written
+// again, so every use of the same constant can name one id.
+type literals struct {
+	ids  map[literalKey]string // rendered id, as Tcl wants it
+	vals map[int64]adlb.Value
+}
+
+// literal returns the id of the closed TD holding k's value: Unique +
+// CreateClosed on first use, no RPC afterwards.
+func (env *Env) literal(k literalKey) (string, error) {
+	lt := &env.lits
+	if id, ok := lt.ids[k]; ok {
+		return id, nil
+	}
+	id, err := env.Client.Unique()
+	if err != nil {
+		return "", err
+	}
+	v := k.value()
+	if err := env.Client.CreateClosed(id, v); err != nil {
+		return "", err
+	}
+	if lt.ids == nil || len(lt.ids) >= maxLiterals {
+		lt.ids = make(map[literalKey]string)
+		lt.vals = make(map[int64]adlb.Value)
+	}
+	s := fmtInt(id)
+	lt.ids[k] = s
+	lt.vals[id] = v
+	env.markClosed(id)
+	return s, nil
+}
+
+// load fetches a closed TD's value, answering the rank's own literals
+// without an RPC. A loaded value follows the Client zero-copy contract.
+func (env *Env) load(id int64) (v adlb.Value, found bool, err error) {
+	if v, ok := env.lits.vals[id]; ok {
+		return v, true, nil
+	}
+	return env.Client.Retrieve(id)
+}
+
+// store closes id with v. The storing engine remembers id as closed, so
+// a later rule on it needs no Subscribe.
+func (env *Env) store(id int64, v adlb.Value) error {
+	if err := env.Client.Store(id, v); err != nil {
+		return err
+	}
+	env.markClosed(id)
+	return nil
+}
+
+// markClosed records on an engine rank that id is closed.
+func (env *Env) markClosed(id int64) {
+	if env.engine != nil {
+		env.engine.closed[id] = true
+	}
+}
+
+func (env *Env) mustRetrieve(args []string, want adlb.DataType) (adlb.Value, error) {
 	if len(args) != 2 {
 		return adlb.Value{}, fmt.Errorf("usage: %s <id>", args[0])
 	}
@@ -626,7 +685,7 @@ func mustRetrieve(cl *adlb.Client, args []string, want adlb.DataType) (adlb.Valu
 	if err != nil {
 		return adlb.Value{}, err
 	}
-	v, found, err := cl.Retrieve(id)
+	v, found, err := env.load(id)
 	if err != nil {
 		return adlb.Value{}, err
 	}

@@ -28,8 +28,12 @@ type engine struct {
 	env     *Env
 	ready   []string          // actions whose inputs are all closed
 	waiting map[int64][]*rule // input id -> rules blocked on it
-	closed  map[int64]bool    // ids known closed (local cache)
-	subbed  map[int64]bool    // ids with an active subscription
+	// closed holds ids known closed, so a rule on them needs no
+	// Subscribe: ids reported closed by Subscribe or a notification,
+	// literals this engine created (closed at birth), and ids this
+	// engine stored itself (turbine::store_*, and so sw:binop).
+	closed map[int64]bool
+	subbed map[int64]bool // ids with an active subscription
 }
 
 func newEngine(env *Env) *engine {

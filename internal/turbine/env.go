@@ -181,6 +181,7 @@ type Env struct {
 	Rank   int
 	engine *engine // non-nil on engine ranks
 	interp *tcl.Interp
+	lits   literals // this rank's interned constants
 }
 
 // Interp returns the rank's Tcl interpreter.

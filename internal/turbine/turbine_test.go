@@ -304,6 +304,8 @@ func TestLiteralHelpers(t *testing.T) {
 	}
 }
 
+// Typed retrieves check the stored type, also for literals answered
+// from the rank's own literal table.
 func TestTypedRetrieveMismatch(t *testing.T) {
 	cfg := &Config{
 		Engines: 1, Servers: 1,
@@ -311,16 +313,21 @@ func TestTypedRetrieveMismatch(t *testing.T) {
 			proc main {} {
 				set i [turbine::literal_integer 7]
 				if {[catch {turbine::retrieve_string $i} msg]} {
-					test::record "error caught"
+					test::record "error caught: $msg"
+				}
+				set f [turbine::literal_float 2.0]
+				if {[catch {turbine::retrieve_integer $f} msg]} {
+					test::record "error caught: $msg"
 				}
 			}
 		`,
 		Main: "main",
 	}
 	rec := runTurbine(t, 3, cfg)
-	rows := rec.sorted()
-	if len(rows) != 1 || rows[0] != "error caught" {
-		t.Fatalf("rows = %v", rows)
+	rows := strings.Join(rec.sorted(), "\n")
+	if strings.Count(rows, "error caught") != 2 || !strings.Contains(rows, "is integer, expected string") ||
+		!strings.Contains(rows, "is float, expected integer") {
+		t.Fatalf("rows = %q", rows)
 	}
 }
 
@@ -532,8 +539,9 @@ func TestRuleDuplicateInputsFireOnce(t *testing.T) {
 	}
 }
 
-// A rule whose inputs are all closed when it is registered fires at once:
-// the batched subscribe reports them closed and no notification is sent.
+// A rule whose inputs are all closed when it is registered fires at once
+// and no notification is sent. The engine stored them itself here, so it
+// knows they are closed without asking.
 func TestRuleOnClosedInputsFiresWithoutNotification(t *testing.T) {
 	st, ts := &adlb.Stats{}, &Stats{}
 	cfg := &Config{

@@ -18,10 +18,10 @@
 //
 // The stages, in order of execution:
 //
-//   - Parse cache. Interp.Eval memoizes parseScript results in a bounded
-//     (FIFO-evicted) per-interpreter cache keyed by source text, so a
+//   - Parse cache. Interp.Eval memoizes parseScript results in a
+//     byte-budgeted LRU per-interpreter cache keyed by source text, so a
 //     loop body or rule action is parsed once no matter how many times
-//     it runs. Proc bodies compile on first call and the compiled form
+//     it runs, and stays cached while one-shot scripts stream past. Proc bodies compile on first call and the compiled form
 //     is stored on the proc definition; redefinition installs a fresh
 //     definition, which invalidates naturally. The `while`, `for`,
 //     `foreach`, `lmap`, and `dict for` commands hoist body compilation
@@ -55,12 +55,14 @@
 // Caching is keyed purely on source text and stores only parse results —
 // never values, bindings, or namespace state — so behaviour under upvar,
 // uplevel, catch, and proc redefinition is unchanged; see
-// internal/tcl/cache_test.go for the invariants. The bounded cache type
-// itself lives in internal/memo and is shared by every embedded
-// interpreter: internal/pylite and internal/rlite memoize fragment
-// parses the same way (invariants in their cache_test.go files), so
-// repeated python(...)/r(...) fragments — the per-task hot path of
-// ensemble workloads — are parse-free in the steady state too.
+// internal/tcl/cache_test.go for the invariants. The one cache type,
+// memo.Budget, lives in internal/memo and is shared by every embedded
+// interpreter: internal/pylite, internal/rlite, internal/jlite and the
+// tcl engine memoize fragment parses the same way, under the same cost
+// rule (memo.FragCost) and the same byte budgets (invariants in their
+// cache_test.go files), so repeated python(...)/r(...) fragments — the
+// per-task hot path of ensemble workloads — are parse-free in the steady
+// state too.
 //
 // The Tcl value model is Go strings: a value, once handed out, never
 // changes. lappend keeps that and still runs in amortized constant time
@@ -276,9 +278,11 @@
 // either way the hub tombstones the route and adlb.NotifyCrashed
 // converts the loss into the same Leave the lease-reclaim path already
 // handles. core.ServeElastic / core.ElasticWorker (cmd/turbine -listen,
-// cmd/swift-worker) package the whole shape, and examples/elastic runs
-// the paper's §IV ensemble across real processes, SIGKILLing a worker
-// mid-lease and joining a replacement mid-run.
+// cmd/swift-worker) package the whole shape: the hub launches only its
+// local engine and server ranks, through mpi.World.RunRanks — the
+// launcher World.Run uses for a whole in-process world. examples/elastic
+// runs the paper's §IV ensemble across real processes, SIGKILLing a
+// worker mid-lease and joining a replacement mid-run.
 //
 // # Failure model
 //
@@ -319,8 +323,8 @@
 // adlb.put.targeted, lang.eval.pre, dataplane.store, turbine.worker.task,
 // adlb.server.loop, and the transport sites mpi.tcp.conn.drop,
 // mpi.tcp.heartbeat, mpi.tcp.frame) with nth-hit error/panic/crash/delay
-// plans and no time-based randomness, plus the worker-kill knobs in
-// core.Config (KillWorkerRank/KillWorkerAfterTasks). The chaos
+// plans and no time-based randomness; a crash plan at turbine.worker.task
+// kills a worker mid-task, holding its lease. The chaos
 // regression matrix in internal/core/fault_test.go, the lease lifecycle
 // tests in internal/adlb/lease_test.go, and the TCP matrix in
 // internal/mpi/tcp_test.go (SIGKILL mid-task, join mid-run, heartbeat
@@ -404,7 +408,5 @@
 //     constant (no ad-hoc strings), site values are unique, and no
 //     declared site is dead.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the reproduction of the paper's figures and claims.
 // The root-level bench_test.go regenerates every experiment.
 package repro

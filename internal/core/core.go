@@ -115,14 +115,6 @@ type Config struct {
 	// negative = disabled): a run whose remaining work can never be
 	// executed ends with a diagnostic error instead of deadlocking.
 	WatchdogIdleTicks int
-	// KillWorkerRank, if non-zero, makes that worker rank die mid-task
-	// after completing KillWorkerAfterTasks tasks (chaos testing: the
-	// victim's leased task is reclaimed and requeued). Rank 0 is always
-	// an engine, so zero means no kill.
-	KillWorkerRank int
-	// KillWorkerAfterTasks is how many tasks the victim runs before
-	// dying (0 = die on its first task).
-	KillWorkerAfterTasks int
 	// TaskPriority is a base priority added to every work task released
 	// by this run's engines (forwarded to turbine.Config.TaskPriority).
 	// The serving layer sets it to the submitting tenant's admission
@@ -193,6 +185,74 @@ func (w *lockedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// deployment is what every rank of one run shares: the output sink, the
+// simulated machine, the per-language eval counters, and the
+// interpreter policy and native libraries each rank installs.
+type deployment struct {
+	sink     *lockedWriter
+	sys      *shell.System
+	counters *lang.Counters
+	langs    []lang.Registration
+	policy   lang.Policy
+	libs     []*nativelib.Library
+}
+
+func newDeployment(out io.Writer, sys *shell.System, policy lang.Policy, libs []*nativelib.Library) *deployment {
+	// One eval-counter slot per registered language, shared by all ranks;
+	// the per-rank engines installed by setup report into it.
+	return &deployment{
+		sink:     &lockedWriter{tee: out},
+		sys:      sys,
+		counters: lang.NewCounters(),
+		langs:    lang.Registered(),
+		policy:   policy,
+		libs:     libs,
+	}
+}
+
+// setup wires one rank's interpreter. Every registered embedded language
+// is installed: the engine is created lazily on the first <name>::eval
+// or <name>::call, the state policy applies uniformly, and evaluations
+// are counted per language. The rank's data plane gives the typed
+// surface direct store access, so compiled interlanguage calls move
+// arguments and results without string rendering. Each native library
+// is then SWIG-bound and provided as a Tcl package.
+func (d *deployment) setup(in *tcl.Interp, env *turbine.Env) error {
+	in.Out = d.sink
+	host := lang.Host{Out: d.sink, Shell: d.sys}
+	dp := env.DataPlane()
+	for _, reg := range d.langs {
+		lang.Install(in, reg, host, d.policy, d.counters, dp)
+	}
+	for _, lib := range d.libs {
+		if _, err := swig.Bind(in, lib); err != nil {
+			return err
+		}
+		if _, err := in.Eval("package provide " + lib.Name); err != nil {
+			return fmt.Errorf("core: providing native library %q: %w", lib.Name, err)
+		}
+	}
+	return nil
+}
+
+// result assembles the Result of a run that started at start.
+func (d *deployment) result(start time.Time, stats *adlb.Stats, ts *turbine.Stats) *Result {
+	evals := d.counters.Snapshot()
+	return &Result{
+		Stdout:       d.sink.buf.String(),
+		Elapsed:      time.Since(start),
+		ADLB:         stats.Snapshot(),
+		LeafTasks:    ts.LeafTasks.Load(),
+		ControlTasks: ts.ControlTasks.Load(),
+		Evals:        evals,
+		PythonEvals:  evals["python"],
+		REvals:       evals["r"],
+		Spawns:       d.sys.Spawns(),
+		TaskRetries:  stats.Requeued.Load(),
+		TaskFailures: ts.TaskFailures.Load(),
+	}
+}
+
 // Run compiles and executes Swift source under cfg.
 func Run(source string, cfg Config) (*Result, error) {
 	compiled, err := stc.Compile(source)
@@ -211,8 +271,6 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	if cfg.TurbineStats == nil {
 		cfg.TurbineStats = &turbine.Stats{}
 	}
-	sink := &lockedWriter{tee: cfg.Out}
-
 	sys := shell.NewSystem(cfg.ShellMode, cfg.FS)
 	if cfg.SpawnCost > 0 {
 		sys.SpawnCost = cfg.SpawnCost
@@ -221,11 +279,7 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	for name, prog := range cfg.Programs {
 		sys.RegisterProgram(name, prog)
 	}
-
-	// One eval-counter slot per registered language, shared by all ranks;
-	// the per-rank engines installed below report into it.
-	counters := lang.NewCounters()
-	langs := lang.Registered()
+	d := newDeployment(cfg.Out, sys, cfg.Policy, cfg.NativeLibs)
 
 	// Compile the Turbine program once; every rank (and every repeated
 	// run of the same Output) shares the parsed form.
@@ -235,22 +289,19 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	}
 
 	tcfg := &turbine.Config{
-		Engines:              cfg.Engines,
-		Servers:              cfg.Servers,
-		Tick:                 cfg.Tick,
-		Stats:                cfg.Stats,
-		TurbineStats:         cfg.TurbineStats,
-		DisableSteal:         cfg.DisableSteal,
-		MaxTaskRetries:       cfg.MaxTaskRetries,
-		WatchdogIdleTicks:    cfg.WatchdogIdleTicks,
-		KillWorkerRank:       cfg.KillWorkerRank,
-		KillWorkerAfterTasks: cfg.KillWorkerAfterTasks,
-		TaskPriority:         cfg.TaskPriority,
-		Program:              compiled.Program,
-		ProgramScript:        programScript,
-		Main:                 compiled.Main,
+		Engines:           cfg.Engines,
+		Servers:           cfg.Servers,
+		Tick:              cfg.Tick,
+		Stats:             cfg.Stats,
+		TurbineStats:      cfg.TurbineStats,
+		DisableSteal:      cfg.DisableSteal,
+		MaxTaskRetries:    cfg.MaxTaskRetries,
+		WatchdogIdleTicks: cfg.WatchdogIdleTicks,
+		TaskPriority:      cfg.TaskPriority,
+		Program:           compiled.Program,
+		ProgramScript:     programScript,
+		Main:              compiled.Main,
 		Setup: func(in *tcl.Interp, env *turbine.Env) error {
-			in.Out = sink
 			in.PkgPath = cfg.PkgPath
 			in.SourceFS = func(path string) (string, error) {
 				if cfg.Bundle != nil {
@@ -263,25 +314,8 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 				}
 				return "", fmt.Errorf("core: no filesystem mounted for %q", path)
 			}
-			// Install every registered embedded language on this rank:
-			// the engine is created lazily on the first <name>::eval or
-			// <name>::call, the state policy applies uniformly, and
-			// evaluations are counted per language. The rank's data
-			// plane gives the typed surface direct store access, so
-			// compiled interlanguage calls move arguments and results
-			// without string rendering.
-			host := lang.Host{Out: sink, Shell: sys}
-			dp := env.DataPlane()
-			for _, reg := range langs {
-				lang.Install(in, reg, host, cfg.Policy, counters, dp)
-			}
-			for _, lib := range cfg.NativeLibs {
-				if _, err := swig.Bind(in, lib); err != nil {
-					return err
-				}
-				if _, err := in.Eval("package provide " + lib.Name); err != nil {
-					return fmt.Errorf("core: providing native library %q: %w", lib.Name, err)
-				}
+			if err := d.setup(in, env); err != nil {
+				return err
 			}
 			if cfg.TclSetup != nil {
 				return cfg.TclSetup(in)
@@ -300,18 +334,5 @@ func RunCompiled(compiled *stc.Output, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	evals := counters.Snapshot()
-	return &Result{
-		Stdout:       sink.buf.String(),
-		Elapsed:      time.Since(start),
-		ADLB:         cfg.Stats.Snapshot(),
-		LeafTasks:    cfg.TurbineStats.LeafTasks.Load(),
-		ControlTasks: cfg.TurbineStats.ControlTasks.Load(),
-		Evals:        evals,
-		PythonEvals:  evals["python"],
-		REvals:       evals["r"],
-		Spawns:       sys.Spawns(),
-		TaskRetries:  cfg.Stats.Requeued.Load(),
-		TaskFailures: cfg.TurbineStats.TaskFailures.Load(),
-	}, nil
+	return d.result(start, cfg.Stats, cfg.TurbineStats), nil
 }

@@ -88,9 +88,9 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 
 func TestFragmentCacheBoundedEviction(t *testing.T) {
 	in := New()
-	// ~70 bytes per entry at fragCost (source + fixed overhead): a 288-byte
+	// ~70 bytes per entry at memo.FragCost (source + fixed overhead): a 288-byte
 	// budget holds at most 4 of the fragments below.
-	in.progs = memo.NewBudget[[]jstmt](288, fragCost[[]jstmt])
+	in.progs = memo.NewBudget(288, memo.FragCost[[]jstmt])
 	for i := 0; i < 20; i++ {
 		if err := in.Exec(fmt.Sprintf("v%d = %d", i, i)); err != nil {
 			t.Fatal(err)

@@ -96,23 +96,12 @@ type Interp struct {
 	exprs *memo.Budget[jexpr]
 }
 
-// Fragment-cache byte budgets, in source bytes (AST size scales with the
-// source, so source length is the cost proxy; see fragCost).
-const (
-	defaultProgCacheBytes = 1 << 20
-	defaultExprCacheBytes = 256 << 10
-)
-
-// fragCost prices a cached parse by its source length plus a fixed
-// per-entry overhead for the AST and bookkeeping.
-func fragCost[V any](key string, _ V) int64 { return int64(len(key)) + 64 }
-
 // New creates an interpreter with builtins installed.
 func New() *Interp {
 	in := &Interp{
 		Out:   os.Stdout,
-		progs: memo.NewBudget[[]jstmt](defaultProgCacheBytes, fragCost[[]jstmt]),
-		exprs: memo.NewBudget[jexpr](defaultExprCacheBytes, fragCost[jexpr]),
+		progs: memo.NewBudget(memo.ProgramBudget, memo.FragCost[[]jstmt]),
+		exprs: memo.NewBudget(memo.ExprBudget, memo.FragCost[jexpr]),
 	}
 	in.reset()
 	return in

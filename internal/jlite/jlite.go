@@ -16,6 +16,7 @@ package jlite
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -709,15 +710,15 @@ func (p *jparser) atom() (jexpr, error) {
 	switch {
 	case t.kind == tInt:
 		p.pos++
-		var v int64
-		if _, err := fmt.Sscanf(t.text, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("jlite: line %d: bad integer %q", t.line, t.text)
 		}
 		return &jInt{v: v}, nil
 	case t.kind == tFloat:
 		p.pos++
-		var v float64
-		if _, err := fmt.Sscanf(t.text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
 			return nil, fmt.Errorf("jlite: line %d: bad number %q", t.line, t.text)
 		}
 		return &jFloat{v: v}, nil

@@ -40,24 +40,73 @@ func init() {
 // argName is the pre-bound variable name of extra argument i (0-based).
 func argName(i int) string { return fmt.Sprintf("argv%d", i+1) }
 
-// pythonEngine embeds a pylite interpreter (the paper's "Python
-// interpreter as a native code library").
-type pythonEngine struct {
-	in    *pylite.Interp
-	argn  int // argv bindings currently installed (see unbindStale)
+// argvEngine is the argv calling convention shared by the engines that
+// bind arguments as interpreter globals (python, r, julia), configured
+// per language by its conversion and set/del/exec/eval functions, the
+// way vecview.Profile configures the Vec views.
+type argvEngine[V any] struct {
+	conv func(Value) (V, error)
+	set  func(name string, v V)
+	del  func(name string)
+	exec func(code string) error
+	eval func(expr string) (V, error)
+	// result converts the expression's value back into a typed value,
+	// given the call and its converted arguments.
+	result func(c Call, args []V, v V) (Value, error)
+
+	argn  int // argv bindings currently installed
 	evals int64
 }
 
-// Stale argv bindings must not leak between tasks: under PolicyRetain a
-// fragment referencing argvN beyond its own argument count would
-// otherwise silently read a previous task's data instead of failing.
-// Each engine unbinds argv(n+1)..argv(prev) after binding its n args.
-
-func (e *pythonEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		e.in.DelGlobal(argName(i))
+// Eval binds the arguments as argv1..argvN, runs Code if it is
+// non-blank, and returns Expr's value (the empty string when Expr is
+// blank).
+func (e *argvEngine[V]) Eval(c Call) (Value, error) {
+	e.evals++
+	// Convert every argument before binding any: a failure mid-list must
+	// not leave a partial argv set behind (nothing is bound, argn is
+	// untouched, and the previous task's bindings get cleaned next time).
+	vals := make([]V, len(c.Args))
+	for i, a := range c.Args {
+		v, err := e.conv(a)
+		if err != nil {
+			return Value{}, err
+		}
+		vals[i] = v
 	}
-	e.argn = n
+	for i, v := range vals {
+		e.set(argName(i), v)
+	}
+	// Stale argv bindings must not leak between tasks: under
+	// PolicyRetain a fragment referencing argvN beyond its own argument
+	// count would otherwise silently read a previous task's data instead
+	// of failing.
+	for i := len(vals); i < e.argn; i++ {
+		e.del(argName(i))
+	}
+	e.argn = len(vals)
+	if strings.TrimSpace(c.Code) != "" {
+		if err := e.exec(c.Code); err != nil {
+			return Value{}, err
+		}
+	}
+	if strings.TrimSpace(c.Expr) == "" {
+		return Str(""), nil
+	}
+	v, err := e.eval(c.Expr)
+	if err != nil {
+		return Value{}, err
+	}
+	return e.result(c, vals, v)
+}
+
+func (e *argvEngine[V]) Evals() int64 { return e.evals }
+
+// pythonEngine embeds a pylite interpreter (the paper's "Python
+// interpreter as a native code library").
+type pythonEngine struct {
+	argvEngine[pylite.Value]
+	in *pylite.Interp
 }
 
 func newPythonEngine(h Host) Engine {
@@ -65,45 +114,18 @@ func newPythonEngine(h Host) Engine {
 	if h.Out != nil {
 		in.Out = h.Out
 	}
-	return &pythonEngine{in: in}
+	return &pythonEngine{in: in, argvEngine: argvEngine[pylite.Value]{
+		conv:   pyValue,
+		set:    in.SetGlobal,
+		del:    in.DelGlobal,
+		exec:   in.Exec,
+		eval:   in.EvalExpr,
+		result: pyResult,
+	}}
 }
 
 func (e *pythonEngine) Name() string { return "python" }
-
-func (e *pythonEngine) Eval(c Call) (Value, error) {
-	e.evals++
-	// Convert every argument before binding any: a failure mid-list must
-	// not leave a partial argv set behind (nothing is bound, argn is
-	// untouched, and the previous task's bindings get cleaned next time).
-	vals := make([]pylite.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := pyValue(a)
-		if err != nil {
-			return Value{}, err
-		}
-		vals[i] = v
-	}
-	for i, v := range vals {
-		e.in.SetGlobal(argName(i), v)
-	}
-	e.unbindStale(len(c.Args))
-	if strings.TrimSpace(c.Code) != "" {
-		if err := e.in.Exec(c.Code); err != nil {
-			return Value{}, err
-		}
-	}
-	if strings.TrimSpace(c.Expr) == "" {
-		return Str(""), nil
-	}
-	v, err := e.in.EvalExpr(c.Expr)
-	if err != nil {
-		return Value{}, err
-	}
-	return pyResult(v, c.Want)
-}
-
 func (e *pythonEngine) Reset()       { e.in.Reset() }
-func (e *pythonEngine) Evals() int64 { return e.evals }
 
 func (e *pythonEngine) ParseCacheStats() memo.BudgetStats { return e.in.CacheBudgetStats() }
 
@@ -128,7 +150,8 @@ func pyValue(a Value) (pylite.Value, error) {
 // preserved); a fresh numeric list packs into a blob only when the
 // caller wants one, and renders as text otherwise (the historical
 // string behaviour).
-func pyResult(v pylite.Value, want Kind) (Value, error) {
+func pyResult(c Call, _ []pylite.Value, v pylite.Value) (Value, error) {
+	want := c.Want
 	switch x := v.(type) {
 	case int64:
 		return Int(x), nil
@@ -165,16 +188,8 @@ func pyResult(v pylite.Value, want Kind) (Value, error) {
 
 // rEngine embeds an rlite interpreter (linking libR into the runtime).
 type rEngine struct {
-	in    *rlite.Interp
-	argn  int
-	evals int64
-}
-
-func (e *rEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		e.in.DelGlobal(argName(i))
-	}
-	e.argn = n
+	argvEngine[rlite.Value]
+	in *rlite.Interp
 }
 
 func newREngine(h Host) Engine {
@@ -182,56 +197,22 @@ func newREngine(h Host) Engine {
 	if h.Out != nil {
 		in.Out = h.Out
 	}
-	return &rEngine{in: in}
+	exec := func(code string) error {
+		_, err := in.Eval(code)
+		return err
+	}
+	return &rEngine{in: in, argvEngine: argvEngine[rlite.Value]{
+		conv:   rValue,
+		set:    in.SetGlobal,
+		del:    in.DelGlobal,
+		exec:   exec,
+		eval:   in.Eval,
+		result: rResult,
+	}}
 }
 
 func (e *rEngine) Name() string { return "r" }
-
-func (e *rEngine) Eval(c Call) (Value, error) {
-	e.evals++
-	// bound maps each blob argument's decoded vector back to its source
-	// blob: a result that IS a bound vector (identity, including through
-	// assignments — R names share the vector object) leaves bit-exact
-	// under its own metadata, never another argument's.
-	bound := map[*rlite.NumVec]blob.Blob{}
-	var protos []blob.Blob
-	// Convert every argument before binding any (see pythonEngine.Eval).
-	vals := make([]rlite.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := rValue(a)
-		if err != nil {
-			return Value{}, err
-		}
-		vals[i] = v
-	}
-	for i, v := range vals {
-		e.in.SetGlobal(argName(i), v)
-		if a := c.Args[i]; a.Kind() == KindBlob {
-			b := a.AsBlob()
-			protos = append(protos, b)
-			if nv, ok := v.(*rlite.NumVec); ok {
-				bound[nv] = b
-			}
-		}
-	}
-	e.unbindStale(len(c.Args))
-	if strings.TrimSpace(c.Code) != "" {
-		if _, err := e.in.Eval(c.Code); err != nil {
-			return Value{}, err
-		}
-	}
-	if strings.TrimSpace(c.Expr) == "" {
-		return Str(""), nil
-	}
-	v, err := e.in.Eval(c.Expr)
-	if err != nil {
-		return Value{}, err
-	}
-	return rResult(v, c.Want, bound, protos)
-}
-
 func (e *rEngine) Reset()       { e.in.Reset() }
-func (e *rEngine) Evals() int64 { return e.evals }
 
 // rValue converts a typed argument into its R binding: numbers become
 // length-1 numeric vectors, blobs decode into real numeric vectors so R
@@ -257,14 +238,27 @@ func rValue(a Value) (rlite.Value, error) {
 // blob argument's prototype when there is exactly one — with several,
 // provenance is ambiguous and the safe flat float64 form wins. Scalars
 // return as numbers; everything else deparses.
-func rResult(v rlite.Value, want Kind, bound map[*rlite.NumVec]blob.Blob, protos []blob.Blob) (Value, error) {
+func rResult(c Call, args []rlite.Value, v rlite.Value) (Value, error) {
+	want := c.Want
 	if nv, ok := v.(*rlite.NumVec); ok {
 		switch {
 		case want == KindBlob:
+			// A result that IS a bound argument vector (identity,
+			// including through assignments — R names share the vector
+			// object) leaves under its own metadata, never another
+			// argument's.
+			var protos []blob.Blob
+			for i, a := range c.Args {
+				if a.Kind() != KindBlob {
+					continue
+				}
+				if args[i] == nv {
+					return BlobOf(blob.PackLike(nv.V, a.AsBlob())), nil
+				}
+				protos = append(protos, a.AsBlob())
+			}
 			proto := blob.Blob{Elem: blob.ElemF64}
-			if src, ok := bound[nv]; ok {
-				proto = src
-			} else if len(protos) == 1 {
+			if len(protos) == 1 {
 				proto = protos[0]
 			}
 			return BlobOf(blob.PackLike(nv.V, proto)), nil
@@ -278,16 +272,8 @@ func rResult(v rlite.Value, want Kind, bound map[*rlite.NumVec]blob.Blob, protos
 // juliaEngine embeds a jlite interpreter (the Julia-like surface the
 // paper's §IV sketches, embedded the way libjulia would be).
 type juliaEngine struct {
-	in    *jlite.Interp
-	argn  int
-	evals int64
-}
-
-func (e *juliaEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		e.in.DelGlobal(argName(i))
-	}
-	e.argn = n
+	argvEngine[jlite.Value]
+	in *jlite.Interp
 }
 
 func newJuliaEngine(h Host) Engine {
@@ -295,52 +281,18 @@ func newJuliaEngine(h Host) Engine {
 	if h.Out != nil {
 		in.Out = h.Out
 	}
-	return &juliaEngine{in: in}
+	return &juliaEngine{in: in, argvEngine: argvEngine[jlite.Value]{
+		conv:   jlValue,
+		set:    in.SetGlobal,
+		del:    in.DelGlobal,
+		exec:   in.Exec,
+		eval:   in.EvalExpr,
+		result: jlResult,
+	}}
 }
 
 func (e *juliaEngine) Name() string { return "julia" }
-
-func (e *juliaEngine) Eval(c Call) (Value, error) {
-	e.evals++
-	// Convert every argument before binding any (see pythonEngine.Eval):
-	// a failure mid-list must not leave a partial argv set behind.
-	vals := make([]jlite.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := jlValue(a)
-		if err != nil {
-			return Value{}, err
-		}
-		vals[i] = v
-	}
-	// protos tracks blob arguments for result repacking: a fresh vector
-	// result adopts the sole blob argument's element view via
-	// blob.PackLike when unambiguous (identity results are Vec views and
-	// leave bit-exact under their own backing blob regardless).
-	var protos []blob.Blob
-	for i, v := range vals {
-		e.in.SetGlobal(argName(i), v)
-		if a := c.Args[i]; a.Kind() == KindBlob {
-			protos = append(protos, a.AsBlob())
-		}
-	}
-	e.unbindStale(len(c.Args))
-	if strings.TrimSpace(c.Code) != "" {
-		if err := e.in.Exec(c.Code); err != nil {
-			return Value{}, err
-		}
-	}
-	if strings.TrimSpace(c.Expr) == "" {
-		return Str(""), nil
-	}
-	v, err := e.in.EvalExpr(c.Expr)
-	if err != nil {
-		return Value{}, err
-	}
-	return jlResult(v, c.Want, protos)
-}
-
 func (e *juliaEngine) Reset()       { e.in.Reset() }
-func (e *juliaEngine) Evals() int64 { return e.evals }
 
 func (e *juliaEngine) ParseCacheStats() memo.BudgetStats { return e.in.CacheBudgetStats() }
 
@@ -368,7 +320,8 @@ func jlValue(a Value) (jlite.Value, error) {
 // the exact native packing wins (all-int64 vectors stay on the integer
 // path, everything else packs flat float64, mirroring rlite's ambiguity
 // rule). Ranges materialise like fresh vectors.
-func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
+func jlResult(c Call, _ []jlite.Value, v jlite.Value) (Value, error) {
+	want := c.Want
 	switch x := v.(type) {
 	case int64:
 		return Int(x), nil
@@ -391,7 +344,7 @@ func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
 		// fresh arrays (and the other engines' list behaviour there).
 	case *jlite.Arr:
 		if want == KindBlob {
-			return packFresh(x.Elems, protos)
+			return packFresh(x.Elems, c.Args)
 		}
 	case *jlite.Range:
 		if want == KindBlob {
@@ -399,7 +352,7 @@ func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
 			for i := range elems {
 				elems[i] = x.Lo + int64(i)
 			}
-			return packFresh(elems, protos)
+			return packFresh(elems, c.Args)
 		}
 	case nil:
 		return Str(""), nil
@@ -407,8 +360,17 @@ func jlResult(v jlite.Value, want Kind, protos []blob.Blob) (Value, error) {
 	return Str(jlite.Str(v)), nil
 }
 
-// packFresh packs a fresh jlite vector for a blob-wanting caller.
-func packFresh(elems []jlite.Value, protos []blob.Blob) (Value, error) {
+// packFresh packs a fresh jlite vector for a blob-wanting caller. The
+// call's blob arguments are its candidate prototypes (identity results
+// are Vec views and leave bit-exact under their own backing blob
+// regardless).
+func packFresh(elems []jlite.Value, args []Value) (Value, error) {
+	var protos []blob.Blob
+	for _, a := range args {
+		if a.Kind() == KindBlob {
+			protos = append(protos, a.AsBlob())
+		}
+	}
 	if len(protos) == 1 {
 		proto := protos[0]
 		// An int64 prototype keeps all-integer results on the exact
@@ -456,24 +418,13 @@ func dimsProduct(dims []int) int {
 type tclEngine struct {
 	out   io.Writer
 	in    *tcl.Interp
-	progs *memo.Cache[*tcl.Script]
-	argn  int
+	progs *memo.Budget[*tcl.Script]
+	argn  int // argv bindings currently installed
 	evals int64
 }
 
-func (e *tclEngine) unbindStale(n int) {
-	for i := n; i < e.argn; i++ {
-		// Already-absent variables (e.g. after Reset) are fine to skip.
-		_ = e.in.UnsetVar(argName(i))
-	}
-	e.argn = n
-}
-
-// tclProgCacheSize bounds the engine's fragment cache (see pylite).
-const tclProgCacheSize = 256
-
 func newTclEngine(h Host) Engine {
-	e := &tclEngine{out: h.Out, progs: memo.New[*tcl.Script](tclProgCacheSize)}
+	e := &tclEngine{out: h.Out, progs: memo.NewBudget(memo.ProgramBudget, memo.FragCost[*tcl.Script])}
 	e.Reset()
 	return e
 }
@@ -497,7 +448,12 @@ func (e *tclEngine) Eval(c Call) (Value, error) {
 			return Value{}, err
 		}
 	}
-	e.unbindStale(len(c.Args))
+	// Unbind stale argv (see argvEngine.Eval); already-absent variables
+	// (e.g. after Reset) are fine to skip.
+	for i := len(c.Args); i < e.argn; i++ {
+		_ = e.in.UnsetVar(argName(i))
+	}
+	e.argn = len(c.Args)
 	res, err := e.evalCached(c.Code)
 	if err != nil {
 		return Value{}, err

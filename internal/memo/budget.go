@@ -1,18 +1,39 @@
+// Package memo provides the one bounded string-keyed memoization cache
+// used by every compile-once pipeline in the repo: internal/tcl memoizes
+// source -> *Script and expression ASTs, internal/pylite, internal/rlite
+// and internal/jlite memoize source -> parsed program, the tcl engine
+// memoizes its fragments, and internal/serve memoizes compiled programs.
+// A fragment evaluated once per task is therefore parsed once per
+// interpreter.
+//
+// The cache stores only compile results keyed by source text (or source
+// hash) — never values or bindings — so cached entries are immutable and
+// safe to replay against any interpreter state.
 package memo
 
-// Budget is the byte-budgeted, cost-aware sibling of Cache: entries carry
-// a caller-defined cost (typically "bytes this compiled artifact pins in
-// memory") and eviction is least-recently-used under a total cost budget
-// rather than FIFO under an entry count. It exists for serving workloads
-// — a long-lived process caching compiled programs and fragments across
-// requests — where entries differ in size by orders of magnitude and a
-// count bound would let one tenant's handful of huge programs evict
-// thousands of small hot fragments (the memory-tracked applyCache idiom).
+// Fragment-cache byte budgets, in FragCost units: every interpreter's
+// program (script) cache and expression cache is bounded by one of these.
+const (
+	ProgramBudget = 1 << 20 // 1 MiB of program source per interpreter
+	ExprBudget    = 256 << 10
+)
+
+// FragCost prices a cached parse by its source length plus a fixed
+// per-entry overhead for the AST and bookkeeping (AST size scales with
+// the source, so source length is the cost proxy).
+func FragCost[V any](key string, _ V) int64 { return int64(len(key)) + 64 }
+
+// Budget is a cost-aware memoization cache: entries carry a
+// caller-defined cost (typically "bytes this compiled artifact pins in
+// memory") and eviction is least-recently-used under a total cost
+// budget. Entries differ in size by orders of magnitude, so a byte bound
+// rather than an entry count keeps one tenant's handful of huge programs
+// (or a stream of generated one-shot scripts) from evicting thousands of
+// small hot fragments, and LRU keeps a hot loop body resident however
+// many one-shot scripts pass through.
 //
-// Like Cache, a Budget stores only immutable compile results keyed by
-// source text (or source hash) and is not safe for concurrent use; a
-// shared cache wraps it in a lock. The count-bounded Cache API is
-// unchanged — interpreter-internal parse caches keep using it.
+// A Budget is not safe for concurrent use; each interpreter owns its
+// own, and a shared cache wraps it in a lock.
 type Budget[V any] struct {
 	max  int64
 	cost func(key string, v V) int64
@@ -110,7 +131,7 @@ func (b *Budget[V]) Put(key string, v V) {
 
 // GetOrCompute returns the cached value for key, computing and caching it
 // on a miss. A failed compute is returned without entering the cache, so
-// compile errors are never memoized — the same policy as Cache.
+// compile errors are never memoized.
 func (b *Budget[V]) GetOrCompute(key string, compute func() (V, error)) (V, error) {
 	if v, ok := b.Get(key); ok {
 		return v, nil

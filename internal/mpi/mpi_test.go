@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -356,6 +357,50 @@ func TestRunRecoversPanic(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected panic to surface as error")
+	}
+}
+
+func TestRunRanksSubsetPanicAbortsTheOthers(t *testing.T) {
+	w, _ := NewWorld(5)
+	var ran [5]atomic.Bool
+	err := w.RunRanks([]int{0, 3, 4}, func(c *Comm) error {
+		ran[c.Rank()].Store(true)
+		if c.Rank() == 3 {
+			panic("boom")
+		}
+		// The survivors block; only the panic's abort can release them.
+		_, _, err := c.Recv(AnySource, AnyTag)
+		if !errors.Is(err, ErrAborted) {
+			t.Errorf("rank %d: Recv = %v, want ErrAborted", c.Rank(), err)
+		}
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 3 panicked: boom") {
+		t.Fatalf("err = %v, want the rank 3 panic", err)
+	}
+	if cause := w.AbortErr(); cause == nil || cause.Error() != err.Error() {
+		t.Fatalf("AbortErr = %v, want the returned panic error %v", cause, err)
+	}
+	for r, want := range []bool{true, false, false, true, true} {
+		if ran[r].Load() != want {
+			t.Fatalf("rank %d ran = %v, want %v", r, ran[r].Load(), want)
+		}
+	}
+}
+
+func TestRunRanksReturnsAbortCause(t *testing.T) {
+	// No rank carries more than ErrAborted: the abort cause is returned.
+	w, _ := NewWorld(4)
+	cause := errors.New("server-side fault")
+	err := w.RunRanks([]int{1, 2}, func(c *Comm) error {
+		if c.Rank() == 1 {
+			w.Abort(cause)
+		}
+		_, _, err := c.Recv(AnySource, AnyTag)
+		return err
+	})
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want the abort cause", err)
 	}
 }
 

@@ -119,23 +119,12 @@ type Interp struct {
 	exprs *memo.Budget[pexpr]
 }
 
-// Fragment-cache byte budgets, in source bytes (the AST size scales with
-// the source, so source length is the cost proxy; see fragCost).
-const (
-	defaultProgCacheBytes = 1 << 20 // 1 MiB of program source per interp
-	defaultExprCacheBytes = 256 << 10
-)
-
-// fragCost prices a cached parse by its source length plus a fixed
-// per-entry overhead for the AST and bookkeeping.
-func fragCost[V any](key string, _ V) int64 { return int64(len(key)) + 64 }
-
 // New creates an interpreter with builtins installed.
 func New() *Interp {
 	in := &Interp{
 		Out:   os.Stdout,
-		progs: memo.NewBudget[[]pstmt](defaultProgCacheBytes, fragCost[[]pstmt]),
-		exprs: memo.NewBudget[pexpr](defaultExprCacheBytes, fragCost[pexpr]),
+		progs: memo.NewBudget(memo.ProgramBudget, memo.FragCost[[]pstmt]),
+		exprs: memo.NewBudget(memo.ExprBudget, memo.FragCost[pexpr]),
 	}
 	in.reset()
 	return in

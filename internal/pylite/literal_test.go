@@ -1,0 +1,40 @@
+package pylite
+
+import "testing"
+
+// TestNumberLiterals pins the number grammar the lexer emits: every
+// literal's value and type, and the exact error for a literal that does
+// not fit (int64 overflow, float overflow) or is malformed.
+func TestNumberLiterals(t *testing.T) {
+	cases := []struct {
+		src     string
+		want    Value
+		wantErr string
+	}{
+		{src: "42", want: int64(42)},
+		{src: "007", want: int64(7)},
+		{src: "9223372036854775807", want: int64(9223372036854775807)},
+		{src: "9223372036854775808", wantErr: `pylite: line 1: bad int "9223372036854775808"`},
+		{src: "1.", want: 1.0},
+		{src: ".5", want: 0.5},
+		{src: "1e5", want: 1e5},
+		{src: "1E5", want: 1e5},
+		{src: "1.5e-3", want: 1.5e-3},
+		{src: "2.5E+3", want: 2500.0},
+		{src: "1e400", wantErr: `pylite: line 1: bad float "1e400"`},
+		{src: "1.2.3", wantErr: `pylite: line 1: bad float "1.2.3"`},
+		{src: "1e5e3", wantErr: `pylite: line 1: bad float "1e5e3"`},
+	}
+	for _, c := range cases {
+		got, err := New().EvalExpr(c.src)
+		if c.wantErr != "" {
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%s: err = %v, want %q", c.src, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("%s = %#v (%v), want %#v", c.src, got, err, c.want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package pylite
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ---- AST ----
 
@@ -606,15 +609,15 @@ func (p *pparser) atom() (pexpr, error) {
 	switch {
 	case t.kind == tInt:
 		p.pos++
-		var v int64
-		if _, err := fmt.Sscanf(t.text, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("pylite: line %d: bad int %q", t.line, t.text)
 		}
 		return &eNum{i: v}, nil
 	case t.kind == tFloat:
 		p.pos++
-		var v float64
-		if _, err := fmt.Sscanf(t.text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
 			return nil, fmt.Errorf("pylite: line %d: bad float %q", t.line, t.text)
 		}
 		return &eNum{isFloat: true, f: v}, nil

@@ -67,14 +67,20 @@ func TestFragmentCacheSurvivesResetButStateDoesNot(t *testing.T) {
 
 func TestFragmentCacheBoundedEviction(t *testing.T) {
 	in := New()
-	in.progs = memo.New[[]rexpr](4)
+	// 71-73 cost units per fragment at memo.FragCost (source + fixed
+	// overhead): a 288-unit budget holds at most 4 of the fragments below.
+	in.progs = memo.NewBudget(288, memo.FragCost[[]rexpr])
 	for i := 0; i < 20; i++ {
 		if _, err := in.Eval(fmt.Sprintf("v%d <- %d", i, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := in.CacheStats(); n > 4 {
+	n := in.CacheStats()
+	if n > 4 {
 		t.Fatalf("cache exceeded bound: %d", n)
+	}
+	if _, ok := in.progs.Get("v19 <- 19"); !ok {
+		t.Fatalf("most recent fragment not resident (%d entries): the budget admits nothing", n)
 	}
 	if v, err := in.Eval("v0 + 1"); err != nil || Deparse(v) != "1" {
 		t.Fatalf("evicted fragment re-eval: %v, %v", v, err)

@@ -10,6 +10,7 @@ package rlite
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -487,8 +488,8 @@ func (p *rparser) atom() (rexpr, error) {
 	switch {
 	case t.kind == tNum:
 		p.pos++
-		var v float64
-		if _, err := fmt.Sscanf(t.text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
 			return nil, fmt.Errorf("rlite: line %d: bad number %q", t.line, t.text)
 		}
 		return &rNum{v: v}, nil

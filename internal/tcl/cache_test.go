@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/memo"
 )
 
 // The compile-once caches must be invisible: cached evaluation has to
@@ -115,7 +117,9 @@ func TestUplevelThroughCachedBody(t *testing.T) {
 
 func TestScriptCacheBounded(t *testing.T) {
 	in := New()
-	in.scripts = newMemoCache[*Script](8)
+	// 72-74 cost units per script at memo.FragCost (source + fixed
+	// overhead): a 600-unit budget holds at most 8 of the scripts below.
+	in.scripts = memo.NewBudget(600, memo.FragCost[*Script])
 	for i := 0; i < 100; i++ {
 		src := fmt.Sprintf("set v%d %d", i, i)
 		if got := mustEval(t, in, src); got != fmt.Sprint(i) {
@@ -126,6 +130,9 @@ func TestScriptCacheBounded(t *testing.T) {
 	if scripts > 8 {
 		t.Fatalf("script cache grew to %d entries, bound is 8", scripts)
 	}
+	if _, ok := in.scripts.Get("set v99 99"); !ok {
+		t.Fatalf("most recent script not resident (%d entries): the budget admits nothing", scripts)
+	}
 	// An evicted script re-parses and still evaluates correctly.
 	if got := mustEval(t, in, "set v0 0"); got != "0" {
 		t.Fatalf("re-eval of evicted script = %q", got)
@@ -134,7 +141,8 @@ func TestScriptCacheBounded(t *testing.T) {
 
 func TestExprCacheBounded(t *testing.T) {
 	in := New()
-	in.exprs = newMemoCache[exprNode](8)
+	// 69-71 cost units per expression: a 568-unit budget holds at most 8.
+	in.exprs = memo.NewBudget(568, memo.FragCost[exprNode])
 	for i := 0; i < 100; i++ {
 		out, err := in.EvalExpr(fmt.Sprintf("%d + %d", i, i))
 		if err != nil {
@@ -148,8 +156,37 @@ func TestExprCacheBounded(t *testing.T) {
 	if exprs > 8 {
 		t.Fatalf("expr cache grew to %d entries, bound is 8", exprs)
 	}
+	if _, ok := in.exprs.Get("99 + 99"); !ok {
+		t.Fatalf("most recent expr not resident (%d entries): the budget admits nothing", exprs)
+	}
 	if out, err := in.EvalExpr("0 + 0"); err != nil || out != "0" {
 		t.Fatalf("re-eval of evicted expr = %q, %v", out, err)
+	}
+}
+
+func TestHotLoopBodySurvivesOneShotSweep(t *testing.T) {
+	// A hot loop body stays cached while more one-shot scripts stream
+	// through than a 512-entry count bound would hold: the cache evicts
+	// by recency under a byte budget, so a body in use keeps its parse.
+	in := New()
+	const body = "incr s"
+	loop := "for {set j 0} {$j < 2} {incr j} {" + body + "}"
+	mustEval(t, in, "set s 0")
+	mustEval(t, in, loop)
+	first, ok := in.scripts.Get(body)
+	if !ok {
+		t.Fatal("loop body was not cached")
+	}
+	const sweep = 600
+	for i := 0; i < sweep; i++ {
+		mustEval(t, in, fmt.Sprintf("set once%d %d", i, i))
+		mustEval(t, in, loop)
+	}
+	if got, ok := in.scripts.Get(body); !ok || got != first {
+		t.Fatal("hot loop body was evicted and re-parsed during the one-shot sweep")
+	}
+	if got := mustEval(t, in, "set s"); got != fmt.Sprint(2*(sweep+1)) {
+		t.Fatalf("s = %q, want %d", got, 2*(sweep+1))
 	}
 }
 
@@ -274,27 +311,6 @@ func TestProcCallDoesNotReparseBody(t *testing.T) {
 	mustEval(t, in, "p")
 	if def.compiled != first {
 		t.Fatal("proc body recompiled on second call")
-	}
-}
-
-func TestMemoCacheFIFOEviction(t *testing.T) {
-	c := newMemoCache[int](3)
-	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
-	}
-	// Oldest two evicted, newest three resident.
-	for i := 0; i < 2; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); ok {
-			t.Fatalf("k%d should have been evicted", i)
-		}
-	}
-	for i := 2; i < 5; i++ {
-		if v, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || v != i {
-			t.Fatalf("k%d missing after eviction", i)
-		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"repro/internal/memo"
 )
 
 // Command is the Go signature of a Tcl command, the equivalent of a
@@ -103,10 +105,13 @@ type Interp struct {
 	evalLevel  int
 
 	// Compile-once caches (see script.go): parsed scripts and expression
-	// ASTs keyed by source text. Both hold parse results only, so cached
-	// and uncached evaluation are indistinguishable.
-	scripts *memoCache[*Script]
-	exprs   *memoCache[exprNode]
+	// ASTs keyed by source text, byte-budgeted LRU (internal/memo). Both
+	// hold parse results only, so cached and uncached evaluation are
+	// indistinguishable; the budget caps pathological workloads (e.g.
+	// generated one-shot scripts) while the steady-state working set —
+	// loop bodies, rule actions, conditions — stays resident.
+	scripts *memo.Budget[*Script]
+	exprs   *memo.Budget[exprNode]
 }
 
 type procDef struct {
@@ -135,8 +140,8 @@ func New() *Interp {
 		maxDep:     1000,
 		pkgs:       map[string]string{},
 		ClientData: map[string]any{},
-		scripts:    newMemoCache[*Script](defaultScriptCacheSize),
-		exprs:      newMemoCache[exprNode](defaultExprCacheSize),
+		scripts:    memo.NewBudget(memo.ProgramBudget, memo.FragCost[*Script]),
+		exprs:      memo.NewBudget(memo.ExprBudget, memo.FragCost[exprNode]),
 	}
 	in.stack = []*frame{in.global}
 	registerCore(in)

@@ -13,10 +13,17 @@ import (
 )
 
 // The §IV ensemble costs a fixed number of data-store RPCs on one
-// engine: 323, down from 578 when every literal cost Create + Store and
-// the engine subscribed to data it had created or stored itself.
+// engine: 243. It was 578 when every literal cost Create + Store and the
+// engine subscribed to data it had created or stored itself, and 323
+// before stc knew which data are closed. Now, in each of the 16 range
+// iterations, `params[i] = itof(i) * 0.5` runs as direct calls on the
+// literal index: store itof's temporary, retrieve it, store the product,
+// insert (4 ops). As rules it cost 7: a Subscribe on the temporary, and
+// a write_refcount +1/-1 pair around sw:ainsert. In each of the 16
+// array iterations, `sq[i] = python(...)` inserts at the literal index
+// directly (1 op, not 3). 323 - 16*3 - 16*2 = 243.
 func TestEnsembleDataOpsPinned(t *testing.T) {
-	const want = 323
+	const want = 243
 	res, err := Run(elasticEnsemble, Config{Engines: 1, Workers: 4, Servers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package stc
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -67,7 +69,7 @@ func CompileChecked(prog *swift.Program, ck *swift.Checker) (*Output, error) {
 		}
 		out.WriteString(body)
 	}
-	mainBody, err := c.compileProc("u:main", nil, prog.Main)
+	mainBody, err := c.compileProc("u:main", nil, nil, prog.Main)
 	if err != nil {
 		return nil, err
 	}
@@ -90,11 +92,16 @@ func (c *compiler) gensym(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, c.counter)
 }
 
-// genScope tracks Swift variable -> (Tcl variable, type) bindings during
-// code generation.
+// genScope tracks, for one generated proc, Swift variable -> (Tcl
+// variable, type) bindings and the Tcl refs known closed at the current
+// point of the proc body. A proc body runs top to bottom, so a ref is
+// known closed from the line that closes it on: a literal, a store of a
+// literal, or the output of a direct call. A block proc also starts with
+// the params whose outer ref was known closed when its rule was
+// registered.
 type genScope struct {
-	parent *genScope
 	vars   map[string]genVar
+	closed map[string]bool
 }
 
 type genVar struct {
@@ -102,13 +109,23 @@ type genVar struct {
 	typ swift.Type
 }
 
+func newScope() *genScope {
+	return &genScope{vars: map[string]genVar{}, closed: map[string]bool{}}
+}
+
 func (s *genScope) lookup(name string) (genVar, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if v, ok := cur.vars[name]; ok {
-			return v, true
+	v, ok := s.vars[name]
+	return v, ok
+}
+
+// allClosed reports whether every ref is known closed.
+func (s *genScope) allClosed(refs []string) bool {
+	for _, r := range refs {
+		if !s.closed[r] {
+			return false
 		}
 	}
-	return genVar{}, false
+	return true
 }
 
 // emitter accumulates the body of one generated proc.
@@ -122,6 +139,52 @@ func (e *emitter) linef(format string, args ...any) {
 	fmt.Fprintf(&e.b, format, args...)
 	e.b.WriteByte('\n')
 }
+
+// rule emits a turbine::rule that runs the prelude call words on an
+// engine once every ref in ins is closed.
+func (e *emitter) rule(ins []string, words ...string) { e.ruleAs("", ins, words) }
+
+// work emits a rule whose action runs as a leaf task on a worker.
+func (e *emitter) work(ins []string, words ...string) { e.ruleAs(" type work", ins, words) }
+
+// ruleAs renders a rule. The action is a quoted string substituted at
+// registration, so a command-substitution word W (a list of ids) goes in
+// as [list W] to stay one word when the action runs.
+func (e *emitter) ruleAs(opts string, ins, words []string) {
+	e.b.WriteString(e.indent)
+	fmt.Fprintf(&e.b, `turbine::rule [list %s] "`, strings.Join(ins, " "))
+	for i, w := range words {
+		if i > 0 {
+			e.b.WriteByte(' ')
+		}
+		if strings.HasPrefix(w, "[") {
+			w = "[list " + w + "]"
+		}
+		e.b.WriteString(w)
+	}
+	e.b.WriteString("\"" + opts + "\n")
+}
+
+// call emits an engine-side prelude call that reads ins and stores out
+// ("" for none). When every input is known closed it is a plain call,
+// and out is known closed after it; otherwise it is a rule that waits
+// for the inputs. Worker leaf calls never come here: they stay rules.
+func (e *emitter) call(sc *genScope, ins []string, out string, words ...string) {
+	if !sc.allClosed(ins) {
+		e.rule(ins, words...)
+		return
+	}
+	e.linef("%s", strings.Join(words, " "))
+	if out != "" {
+		sc.closed[out] = true
+	}
+}
+
+// listWord is one Tcl word holding the list of refs.
+func listWord(refs []string) string { return "[list " + strings.Join(refs, " ") + "]" }
+
+// braceWord is one Tcl word holding the list of plain tokens.
+func braceWord(toks []string) string { return "{" + strings.Join(toks, " ") + "}" }
 
 // tdType maps a Swift type to its ADLB/turbine type name. Booleans are
 // carried as integers; arrays are containers.
@@ -151,7 +214,7 @@ func (c *compiler) compileFunc(f *swift.FuncDef) (string, error) {
 		var params []swift.Param
 		params = append(params, f.Outs...)
 		params = append(params, f.Ins...)
-		return c.compileProc("u:"+f.Name, params, f.Body)
+		return c.compileProc("u:"+f.Name, params, nil, f.Body)
 	case swift.FuncTclTemplate:
 		return c.compileTemplateFunc(f)
 	case swift.FuncApp:
@@ -161,13 +224,18 @@ func (c *compiler) compileFunc(f *swift.FuncDef) (string, error) {
 }
 
 // compileProc generates one engine-side proc from a statement list.
-// Parameters are TD ids bound to v_<name> locals.
-func (c *compiler) compileProc(name string, params []swift.Param, body []swift.Stmt) (string, error) {
-	sc := &genScope{vars: map[string]genVar{}}
+// Parameters are TD ids bound to v_<name> locals; those named in closed
+// are known closed whenever the proc runs.
+func (c *compiler) compileProc(name string, params []swift.Param, closed map[string]bool, body []swift.Stmt) (string, error) {
+	sc := newScope()
 	var names []string
 	for _, p := range params {
 		names = append(names, "v_"+p.Name)
-		sc.vars[p.Name] = genVar{ref: "$v_" + p.Name, typ: p.Type}
+		ref := "$v_" + p.Name
+		sc.vars[p.Name] = genVar{ref: ref, typ: p.Type}
+		if closed[p.Name] {
+			sc.closed[ref] = true
+		}
 	}
 	e := &emitter{indent: "    "}
 	if err := c.compileStmts(e, sc, body); err != nil {
@@ -223,18 +291,32 @@ func (c *compiler) compileStmt(e *emitter, sc *genScope, s swift.Stmt) ([]string
 		if st.LSub == nil {
 			return nil, c.compileInto(e, sc, v.ref, v.typ, st.RHS)
 		}
-		// a[sub] = rhs
+		// a[sub] = rhs. The block holds a write reference on a while it
+		// runs, so a subscript already known inserts at once; any other
+		// waits in sw:ainsert under a write reference of its own.
+		elemT := swift.Type{Base: v.typ.Base}
+		if lit, ok := st.LSub.(*swift.IntLit); ok {
+			elemRef, err := c.compileExprAs(e, sc, elemT, st.RHS)
+			if err != nil {
+				return nil, err
+			}
+			e.linef("turbine::container_insert %s %d %s", v.ref, lit.Value, elemRef)
+			return nil, nil
+		}
 		subRef, err := c.compileExpr(e, sc, st.LSub)
 		if err != nil {
 			return nil, err
 		}
-		elemT := swift.Type{Base: v.typ.Base}
 		elemRef, err := c.compileExprAs(e, sc, elemT, st.RHS)
 		if err != nil {
 			return nil, err
 		}
+		if sc.closed[subRef] {
+			e.linef("turbine::container_insert %s [turbine::retrieve_integer %s] %s", v.ref, subRef, elemRef)
+			return nil, nil
+		}
 		e.linef("turbine::write_refcount %s 1", v.ref)
-		e.linef(`turbine::rule [list %s] "sw:ainsert %s %s %s"`, subRef, v.ref, subRef, elemRef)
+		e.rule([]string{subRef}, "sw:ainsert", v.ref, subRef, elemRef)
 		return nil, nil
 
 	case *swift.CallStmt:
@@ -263,47 +345,21 @@ func (c *compiler) compileExprAs(e *emitter, sc *genScope, want swift.Type, ex s
 		if !ok {
 			return "", swift.Errorf(x.Pos(), "internal: unbound variable %q", x.Name)
 		}
-		if tdType(v.typ) != tdType(want) {
-			// Promotion copy (e.g. int var assigned to float context).
-			t := c.gensym("t")
-			e.linef("set %s [turbine::allocate %s]", t, tdType(want))
-			e.linef(`turbine::rule [list %s] "sw:copy $%s %s %s %s"`,
-				v.ref, t, v.ref, tdType(v.typ), tdType(want))
-			return "$" + t, nil
+		if tdType(v.typ) == tdType(want) {
+			return v.ref, nil
 		}
-		return v.ref, nil
-	case *swift.IntLit:
-		t := c.gensym("t")
-		if tdType(want) == "float" {
-			e.linef("set %s [turbine::literal_float %d.0]", t, x.Value)
-		} else {
-			e.linef("set %s [turbine::literal_integer %d]", t, x.Value)
-		}
-		return "$" + t, nil
-	case *swift.FloatLit:
-		t := c.gensym("t")
-		e.linef("set %s [turbine::literal_float %s]", t, fmtFloatLit(x.Value))
-		return "$" + t, nil
-	case *swift.StringLit:
-		t := c.gensym("t")
-		e.linef("set %s [turbine::literal_string %s]", t, tcl.ListElement(x.Value))
-		return "$" + t, nil
-	case *swift.BoolLit:
-		t := c.gensym("t")
-		v := 0
-		if x.Value {
-			v = 1
-		}
-		e.linef("set %s [turbine::literal_integer %d]", t, v)
-		return "$" + t, nil
-	default:
-		t := c.gensym("t")
-		e.linef("set %s [turbine::allocate %s]", t, tdType(want))
-		if err := c.compileInto(e, sc, "$"+t, want, ex); err != nil {
-			return "", err
-		}
-		return "$" + t, nil
+		// A promotion (an int variable in a float context) copies into a
+		// TD of its own, below.
+	case *swift.IntLit, *swift.FloatLit, *swift.StringLit, *swift.BoolLit:
+		typ, val := literalText(x, tdType(want))
+		return c.literal(e, sc, typ, val), nil
 	}
+	t := c.gensym("t")
+	e.linef("set %s [turbine::allocate %s]", t, tdType(want))
+	if err := c.compileInto(e, sc, "$"+t, want, ex); err != nil {
+		return "", err
+	}
+	return "$" + t, nil
 }
 
 // compileInto compiles an expression so its result is stored into the
@@ -311,33 +367,17 @@ func (c *compiler) compileExprAs(e *emitter, sc *genScope, want swift.Type, ex s
 func (c *compiler) compileInto(e *emitter, sc *genScope, outRef string, outT swift.Type, ex swift.Expr) error {
 	outTD := tdType(outT)
 	switch x := ex.(type) {
-	case *swift.IntLit:
-		if outTD == "float" {
-			e.linef("turbine::store_float %s %d.0", outRef, x.Value)
-		} else {
-			e.linef("turbine::store_integer %s %d", outRef, x.Value)
-		}
-		return nil
-	case *swift.FloatLit:
-		e.linef("turbine::store_float %s %s", outRef, fmtFloatLit(x.Value))
-		return nil
-	case *swift.StringLit:
-		e.linef("turbine::store_string %s %s", outRef, tcl.ListElement(x.Value))
-		return nil
-	case *swift.BoolLit:
-		v := 0
-		if x.Value {
-			v = 1
-		}
-		e.linef("turbine::store_integer %s %d", outRef, v)
+	case *swift.IntLit, *swift.FloatLit, *swift.StringLit, *swift.BoolLit:
+		typ, val := literalText(x, outTD)
+		e.linef("turbine::store_%s %s %s", typ, outRef, val)
+		sc.closed[outRef] = true
 		return nil
 	case *swift.Ident:
 		v, ok := sc.lookup(x.Name)
 		if !ok {
 			return swift.Errorf(x.Pos(), "internal: unbound variable %q", x.Name)
 		}
-		e.linef(`turbine::rule [list %s] "sw:copy %s %s %s %s"`,
-			v.ref, outRef, v.ref, tdType(v.typ), outTD)
+		e.call(sc, []string{v.ref}, outRef, "sw:copy", outRef, v.ref, tdType(v.typ), outTD)
 		return nil
 	case *swift.Unary:
 		xt := c.ck.Types[x.X]
@@ -345,26 +385,18 @@ func (c *compiler) compileInto(e *emitter, sc *genScope, outRef string, outT swi
 		if err != nil {
 			return err
 		}
-		e.linef(`turbine::rule [list %s] "sw:unop %s %s %s %s %s"`,
-			xRef, outRef, x.Op, outTD, tdType(xt), xRef)
+		e.call(sc, []string{xRef}, outRef, "sw:unop", outRef, x.Op, outTD, tdType(xt), xRef)
 		return nil
 	case *swift.Binary:
-		lt, rt := c.ck.Types[x.L], c.ck.Types[x.R]
-		lRef, err := c.compileExpr(e, sc, x.L)
+		ins, operands, err := c.compileOperands(e, sc, x)
 		if err != nil {
 			return err
 		}
-		rRef, err := c.compileExpr(e, sc, x.R)
-		if err != nil {
-			return err
-		}
-		e.linef(`turbine::rule [list %s %s] "sw:binop %s %s %s %s %s %s %s"`,
-			lRef, rRef, outRef, tclOp(x.Op), outTD, tdType(lt), lRef, tdType(rt), rRef)
+		e.call(sc, ins, outRef, append([]string{"sw:binop", outRef, outTD}, operands...)...)
 		return nil
 	case *swift.Call:
 		return c.compileCallInto(e, sc, outRef, outT, x)
 	case *swift.Index:
-		at := c.ck.Types[x.Arr]
 		aRef, err := c.compileExpr(e, sc, x.Arr)
 		if err != nil {
 			return err
@@ -373,9 +405,7 @@ func (c *compiler) compileInto(e *emitter, sc *genScope, outRef string, outT swi
 		if err != nil {
 			return err
 		}
-		_ = at
-		e.linef(`turbine::rule [list %s %s] "sw:aread %s %s %s %s integer"`,
-			aRef, sRef, outRef, outTD, aRef, sRef)
+		e.rule([]string{aRef, sRef}, "sw:aread", outRef, outTD, aRef, sRef, "integer")
 		return nil
 	case *swift.ArrayLit:
 		elemT := swift.Type{Base: outT.Base}
@@ -389,34 +419,92 @@ func (c *compiler) compileInto(e *emitter, sc *genScope, outRef string, outT swi
 		e.linef("turbine::write_refcount %s -1", outRef)
 		return nil
 	case *swift.RangeLit:
-		loRef, err := c.compileExpr(e, sc, x.Lo)
+		bounds, err := c.compileRange(e, sc, x)
 		if err != nil {
 			return err
 		}
-		hiRef, err := c.compileExpr(e, sc, x.Hi)
-		if err != nil {
-			return err
-		}
-		stepRef := ""
-		if x.Step != nil {
-			stepRef, err = c.compileExpr(e, sc, x.Step)
-			if err != nil {
-				return err
-			}
-		} else {
-			t := c.gensym("t")
-			e.linef("set %s [turbine::literal_integer 1]", t)
-			stepRef = "$" + t
-		}
-		e.linef(`turbine::rule [list %s %s %s] "sw:range_build %s %s %s %s"`,
-			loRef, hiRef, stepRef, outRef, loRef, hiRef, stepRef)
+		e.rule(bounds, append([]string{"sw:range_build", outRef}, bounds...)...)
 		return nil
 	}
 	return swift.Errorf(ex.Pos(), "internal: unknown expression %T", ex)
 }
 
-// tclOp maps Swift operators to Tcl expr operators.
-func tclOp(op string) string { return op }
+// compileRange compiles a range's lo, hi and step (1 if absent).
+func (c *compiler) compileRange(e *emitter, sc *genScope, r *swift.RangeLit) ([]string, error) {
+	var refs []string
+	for _, x := range []swift.Expr{r.Lo, r.Hi} {
+		ref, err := c.compileExpr(e, sc, x)
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, ref)
+	}
+	if r.Step == nil {
+		return append(refs, c.literal(e, sc, "integer", "1")), nil
+	}
+	step, err := c.compileExpr(e, sc, r.Step)
+	return append(refs, step), err
+}
+
+// compileValues compiles expressions to refs, each TD of its own type.
+func (c *compiler) compileValues(e *emitter, sc *genScope, args []swift.Expr) (refs, types []string, err error) {
+	for _, a := range args {
+		r, err := c.compileExpr(e, sc, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		refs = append(refs, r)
+		types = append(types, tdType(c.ck.Types[a]))
+	}
+	return refs, types, nil
+}
+
+// compileOperands compiles a binary operator's operands. It returns
+// their refs and the words "op ltype l rtype r" that sw:binop and a
+// fused sw:if condition both hand to sw:binval.
+func (c *compiler) compileOperands(e *emitter, sc *genScope, x *swift.Binary) (ins, words []string, err error) {
+	l, err := c.compileExpr(e, sc, x.L)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := c.compileExpr(e, sc, x.R)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []string{l, r}, []string{x.Op, tdType(c.ck.Types[x.L]), l, tdType(c.ck.Types[x.R]), r}, nil
+}
+
+// literal emits a literal TD, closed at birth, and returns its ref.
+func (c *compiler) literal(e *emitter, sc *genScope, typ, val string) string {
+	t := c.gensym("t")
+	e.linef("set %s [turbine::literal_%s %s]", t, typ, val)
+	ref := "$" + t
+	sc.closed[ref] = true
+	return ref
+}
+
+// literalText renders a literal expression as the type and Tcl word of
+// its value in a td-typed context (an int literal in a float context is
+// a float).
+func literalText(ex swift.Expr, td string) (typ, val string) {
+	switch x := ex.(type) {
+	case *swift.IntLit:
+		if td == "float" {
+			return "float", strconv.FormatInt(x.Value, 10) + ".0"
+		}
+		return "integer", strconv.FormatInt(x.Value, 10)
+	case *swift.FloatLit:
+		return "float", fmtFloatLit(x.Value)
+	case *swift.StringLit:
+		return "string", tcl.ListElement(x.Value)
+	case *swift.BoolLit:
+		if x.Value {
+			return "integer", "1"
+		}
+		return "integer", "0"
+	}
+	panic(fmt.Sprintf("stc: %T is not a literal", ex))
+}
 
 func fmtFloatLit(f float64) string {
 	s := fmt.Sprintf("%g", f)
@@ -435,7 +523,7 @@ func (c *compiler) compileCallInto(e *emitter, sc *genScope, outRef string, outT
 	if f == nil {
 		return swift.Errorf(call.Pos(), "internal: undefined function %q", call.Name)
 	}
-	argRefs, argTypes, err := c.compileArgs(e, sc, call, f)
+	argRefs, err := c.compileArgs(e, sc, call, f)
 	if err != nil {
 		return err
 	}
@@ -446,27 +534,24 @@ func (c *compiler) compileCallInto(e *emitter, sc *genScope, outRef string, outT
 		return nil
 	case swift.FuncTclTemplate, swift.FuncApp:
 		// Leaf task on a worker when all inputs are closed.
-		deps := strings.Join(argRefs, " ")
-		e.linef(`turbine::rule [list %s] "u:%s %s %s" type work`,
-			deps, f.Name, outRef, strings.Join(argRefs, " "))
+		e.work(argRefs, append([]string{"u:" + f.Name, outRef}, argRefs...)...)
 		return nil
 	}
-	_ = argTypes
 	return swift.Errorf(call.Pos(), "internal: bad function kind")
 }
 
-func (c *compiler) compileArgs(e *emitter, sc *genScope, call *swift.Call, f *swift.FuncDef) ([]string, []string, error) {
-	var refs, types []string
+// compileArgs compiles a user function's arguments, each as the type of
+// its parameter.
+func (c *compiler) compileArgs(e *emitter, sc *genScope, call *swift.Call, f *swift.FuncDef) ([]string, error) {
+	var refs []string
 	for i, a := range call.Args {
-		want := f.Ins[i].Type
-		r, err := c.compileExprAs(e, sc, want, a)
+		r, err := c.compileExprAs(e, sc, f.Ins[i].Type, a)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		refs = append(refs, r)
-		types = append(types, tdType(want))
 	}
-	return refs, types, nil
+	return refs, nil
 }
 
 // compileBuiltin handles builtins in expression position.
@@ -476,7 +561,7 @@ func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT 
 		if err != nil {
 			return err
 		}
-		e.linef(`turbine::rule [list %s] "sw:asize %s %s"`, aRef, outRef, aRef)
+		e.rule([]string{aRef}, "sw:asize", outRef, aRef)
 		return nil
 	}
 	if b.Name == "vpack" {
@@ -488,8 +573,7 @@ func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT 
 		if err != nil {
 			return err
 		}
-		e.linef(`turbine::rule [list %s] "sw:vpack %s %s %s"`,
-			aRef, outRef, tdType(swift.Type{Base: at.Base}), aRef)
+		e.rule([]string{aRef}, "sw:vpack", outRef, tdType(swift.Type{Base: at.Base}), aRef)
 		return nil
 	}
 	if b.Name == "vunpack" {
@@ -500,8 +584,7 @@ func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT 
 		if err != nil {
 			return err
 		}
-		e.linef(`turbine::rule [list %s] "sw:vunpack %s %s %s" type work`,
-			bRef, outRef, tdType(swift.Type{Base: outT.Base}), bRef)
+		e.work([]string{bRef}, "sw:vunpack", outRef, tdType(swift.Type{Base: outT.Base}), bRef)
 		return nil
 	}
 	if b.Name == "join_array" {
@@ -515,38 +598,27 @@ func (c *compiler) compileBuiltin(e *emitter, sc *genScope, outRef string, outT 
 		}
 		// Two-phase: wait for the container to close, then wait for all
 		// members, then join their values.
-		e.linef(`turbine::rule [list %s %s] "sw:ajoin %s %s %s"`, aRef, sepRef, outRef, aRef, sepRef)
+		e.rule([]string{aRef, sepRef}, "sw:ajoin", outRef, aRef, sepRef)
 		return nil
 	}
-	var refs, types []string
-	for _, a := range call.Args {
-		r, err := c.compileExpr(e, sc, a)
-		if err != nil {
-			return err
-		}
-		refs = append(refs, r)
-		types = append(types, tdType(c.ck.Types[a]))
+	refs, types, err := c.compileValues(e, sc, call.Args)
+	if err != nil {
+		return err
 	}
-	deps := strings.Join(refs, " ")
-	ids := strings.Join(refs, " ")
 	if b.Lang {
 		// Interlanguage leaf call: typed dispatch. The action carries TD
 		// ids only — <name>::call loads arguments from the data store as
 		// typed values (blobs by reference) and stores the typed result,
 		// so no value, and in particular no blob element data, is ever
 		// rendered into the action or through sw:vals.
-		e.linef(`turbine::rule [list %s] "sw:leafcall %s %s %s [list [list %s]]" type work`,
-			deps, b.Name, outRef, tdType(outT), ids)
+		e.work(refs, "sw:leafcall", b.Name, outRef, tdType(outT), listWord(refs))
 		return nil
 	}
-	kind := "sw:builtin"
-	extra := ""
 	if b.Leaf {
-		kind = "sw:leaf"
-		extra = " type work"
+		e.work(refs, "sw:leaf", b.Name, outRef, tdType(outT), braceWord(types), listWord(refs))
+		return nil
 	}
-	e.linef(`turbine::rule [list %s] "%s %s %s %s {%s} [list [list %s]]"%s`,
-		deps, kind, b.Name, outRef, tdType(outT), strings.Join(types, " "), ids, extra)
+	e.call(sc, refs, outRef, "sw:builtin", b.Name, outRef, tdType(outT), braceWord(types), listWord(refs))
 	return nil
 }
 
@@ -556,17 +628,11 @@ func (c *compiler) compileCallStmt(e *emitter, sc *genScope, call *swift.Call) e
 	if b := swift.LookupBuiltin(call.Name); b != nil {
 		switch b.Name {
 		case "printf", "trace":
-			var refs, types []string
-			for _, a := range call.Args {
-				r, err := c.compileExpr(e, sc, a)
-				if err != nil {
-					return err
-				}
-				refs = append(refs, r)
-				types = append(types, tdType(c.ck.Types[a]))
+			refs, types, err := c.compileValues(e, sc, call.Args)
+			if err != nil {
+				return err
 			}
-			e.linef(`turbine::rule [list %s] "sw:%s {%s} [list [list %s]]"`,
-				strings.Join(refs, " "), b.Name, strings.Join(types, " "), strings.Join(refs, " "))
+			e.call(sc, refs, "", "sw:"+b.Name, braceWord(types), listWord(refs))
 			return nil
 		default:
 			// Single-output builtin whose value is discarded.
@@ -586,17 +652,16 @@ func (c *compiler) compileCallStmt(e *emitter, sc *genScope, call *swift.Call) e
 		e.linef("set %s [turbine::allocate %s]", t, tdType(o.Type))
 		outRefs = append(outRefs, "$"+t)
 	}
-	argRefs, _, err := c.compileArgs(e, sc, call, f)
+	argRefs, err := c.compileArgs(e, sc, call, f)
 	if err != nil {
 		return err
 	}
-	all := strings.Join(append(append([]string{}, outRefs...), argRefs...), " ")
+	words := append(append([]string{"u:" + f.Name}, outRefs...), argRefs...)
 	switch f.Kind {
 	case swift.FuncComposite:
-		e.linef("u:%s %s", f.Name, all)
+		e.linef("%s", strings.Join(words, " "))
 	case swift.FuncTclTemplate, swift.FuncApp:
-		e.linef(`turbine::rule [list %s] "u:%s %s" type work`,
-			strings.Join(argRefs, " "), f.Name, all)
+		e.work(argRefs, words...)
 	}
 	return nil
 }
@@ -754,56 +819,99 @@ func (c *compiler) writtenArrays(sc *genScope, stmts []swift.Stmt, bound map[str
 }
 
 func (c *compiler) compileIf(e *emitter, sc *genScope, st *swift.If) error {
-	condRef, err := c.compileExpr(e, sc, st.Cond)
-	if err != nil {
-		return err
+	// A binary condition is fused into the rule: it waits on the operands
+	// and sw:if applies the operator through sw:binval, as sw:binop does,
+	// so the condition needs no datum of its own. Any other condition is
+	// a boolean TD the rule waits on.
+	var ins []string
+	var cond string
+	if x, ok := st.Cond.(*swift.Binary); ok {
+		operandRefs, words, err := c.compileOperands(e, sc, x)
+		if err != nil {
+			return err
+		}
+		ins, cond = operandRefs, listWord(words)
+	} else {
+		ref, err := c.compileExpr(e, sc, st.Cond)
+		if err != nil {
+			return err
+		}
+		ins, cond = []string{ref}, ref
 	}
 	bound := map[string]bool{}
 	all := append(append([]swift.Stmt{}, st.Then...), st.Else...)
 	frees, refs, typs := c.freeRefs(sc, all, bound)
 	warrs := c.writtenArrays(sc, all, bound)
+	closed := knownFrees(sc, frees, refs, ins)
 
 	thenName := c.gensym("u:br") + "_t"
-	if err := c.emitBlockProc(thenName, frees, typs, sc, st.Then); err != nil {
+	if err := c.emitBlockProc(thenName, frees, typs, closed, st.Then); err != nil {
 		return err
 	}
 	elseName := "-"
 	if st.Else != nil {
 		elseName = c.gensym("u:br") + "_e"
-		if err := c.emitBlockProc(elseName, frees, typs, sc, st.Else); err != nil {
+		if err := c.emitBlockProc(elseName, frees, typs, closed, st.Else); err != nil {
 			return err
 		}
 	}
 	for _, w := range warrs {
 		e.linef("turbine::write_refcount %s 1", w)
 	}
-	e.linef(`turbine::rule [list %s] "sw:if %s %s %s [list [list %s]] [list [list %s]]"`,
-		condRef, condRef, thenName, elseName,
-		strings.Join(refs, " "), strings.Join(warrs, " "))
+	e.call(sc, ins, "", "sw:if", cond, thenName, elseName, listWord(refs), listWord(warrs))
 	return nil
+}
+
+// knownFrees names the block params known closed whenever the block
+// runs: those whose outer ref is known closed now, when the rule that
+// runs the block is registered, or is one of the refs that rule waits on.
+func knownFrees(sc *genScope, frees, refs, waits []string) map[string]bool {
+	known := map[string]bool{}
+	for i, n := range frees {
+		if sc.closed[refs[i]] || slices.Contains(waits, refs[i]) {
+			known[n] = true
+		}
+	}
+	return known
 }
 
 // emitBlockProc generates a proc for a nested block whose parameters are
 // the block's free variables.
-func (c *compiler) emitBlockProc(name string, frees []string, typs []swift.Type, outer *genScope, body []swift.Stmt) error {
-	sc := &genScope{vars: map[string]genVar{}}
-	var params []string
+func (c *compiler) emitBlockProc(name string, frees []string, typs []swift.Type, closed map[string]bool, body []swift.Stmt) error {
+	params := make([]swift.Param, len(frees))
 	for i, n := range frees {
-		params = append(params, "v_"+n)
-		sc.vars[n] = genVar{ref: "$v_" + n, typ: typs[i]}
+		params[i] = swift.Param{Name: n, Type: typs[i]}
 	}
-	e := &emitter{indent: "    "}
-	if err := c.compileStmts(e, sc, body); err != nil {
+	proc, err := c.compileProc(name, params, closed, body)
+	if err != nil {
 		return err
 	}
-	c.extraProcs = append(c.extraProcs,
-		fmt.Sprintf("proc %s {%s} {\n%s}\n", name, strings.Join(params, " "), e.b.String()))
+	c.extraProcs = append(c.extraProcs, proc)
 	return nil
 }
 
 func (c *compiler) compileForeach(e *emitter, sc *genScope, st *swift.Foreach) error {
 	seqT := c.ck.Types[st.Seq]
 	elemT := swift.Type{Base: seqT.Base}
+
+	// A range loop waits on its bounds and splits across engines without
+	// materialising an array; an array loop waits for the array to close.
+	rng, isRange := st.Seq.(*swift.RangeLit)
+	if isRange && st.IdxVar != "" {
+		return swift.Errorf(st.Pos(), "index variable over a range is not supported; iterate the range value directly")
+	}
+	var ins []string
+	var err error
+	if isRange {
+		ins, err = c.compileRange(e, sc, rng)
+	} else {
+		var seqRef string
+		seqRef, err = c.compileExpr(e, sc, st.Seq)
+		ins = []string{seqRef}
+	}
+	if err != nil {
+		return err
+	}
 
 	bound := map[string]bool{st.Var: true}
 	if st.IdxVar != "" {
@@ -813,59 +921,36 @@ func (c *compiler) compileForeach(e *emitter, sc *genScope, st *swift.Foreach) e
 	warrs := c.writtenArrays(sc, st.Body, bound)
 
 	// The body proc takes the element (and optional index) before frees.
+	// sw:rchunk passes the range element, and sw:asplit the array index,
+	// as a literal, so that one is known closed in the body. An array
+	// loop's rule waits on the array, which only matters to a scalar.
 	bodyName := c.gensym("u:loop")
 	bodyFrees := append([]string{st.Var}, append(idxNames(st.IdxVar), frees...)...)
 	bodyTyps := append([]swift.Type{elemT}, append(idxTypes(st.IdxVar), typs...)...)
-	if err := c.emitBlockProc(bodyName, bodyFrees, bodyTyps, sc, st.Body); err != nil {
+	waits, literal := ins, st.Var
+	if !isRange {
+		waits, literal = nil, st.IdxVar
+	}
+	closed := knownFrees(sc, frees, refs, waits)
+	if literal != "" {
+		closed[literal] = true
+	}
+	if err := c.emitBlockProc(bodyName, bodyFrees, bodyTyps, closed, st.Body); err != nil {
 		return err
 	}
 
 	for _, w := range warrs {
 		e.linef("turbine::write_refcount %s 1", w)
 	}
-	if r, ok := st.Seq.(*swift.RangeLit); ok {
-		// Range loop: split across engines without materialising an array.
-		loRef, err := c.compileExpr(e, sc, r.Lo)
-		if err != nil {
-			return err
-		}
-		hiRef, err := c.compileExpr(e, sc, r.Hi)
-		if err != nil {
-			return err
-		}
-		var stepRef string
-		if r.Step != nil {
-			stepRef, err = c.compileExpr(e, sc, r.Step)
-			if err != nil {
-				return err
-			}
-		} else {
-			t := c.gensym("t")
-			e.linef("set %s [turbine::literal_integer 1]", t)
-			stepRef = "$" + t
-		}
-		if st.IdxVar != "" {
-			return swift.Errorf(st.Pos(), "index variable over a range is not supported; iterate the range value directly")
-		}
-		e.linef(`turbine::rule [list %s %s %s] "sw:rsplit %s [list [list %s]] [list [list %s]] %s %s %s"`,
-			loRef, hiRef, stepRef, bodyName,
-			strings.Join(refs, " "), strings.Join(warrs, " "),
-			loRef, hiRef, stepRef)
+	if isRange {
+		e.rule(ins, append([]string{"sw:rsplit", bodyName, listWord(refs), listWord(warrs)}, ins...)...)
 		return nil
-	}
-	// Array loop.
-	seqRef, err := c.compileExpr(e, sc, st.Seq)
-	if err != nil {
-		return err
 	}
 	hasIdx := "0"
 	if st.IdxVar != "" {
 		hasIdx = "1"
 	}
-	e.linef(`turbine::rule [list %s] "sw:asplit %s [list [list %s]] [list [list %s]] %s %s"`,
-		seqRef, bodyName,
-		strings.Join(refs, " "), strings.Join(warrs, " "),
-		seqRef, hasIdx)
+	e.rule(ins, "sw:asplit", bodyName, listWord(refs), listWord(warrs), ins[0], hasIdx)
 	return nil
 }
 

@@ -7,6 +7,15 @@
 // interpreter builtins like python/R) is released to workers through
 // ADLB; control fragments (loop splits, branches) are distributed across
 // engines.
+//
+// Closedness: while stc emits a proc it tracks which data are known
+// closed at each line (literals, data stored from literals, outputs of
+// direct calls, and a block's params whose outer data were closed when
+// its rule was registered or were that rule's inputs). An engine-side
+// statement whose operands are all known closed becomes a plain call of
+// its prelude proc rather than a turbine::rule; a binary if condition is
+// fused into one sw:if rule on its operands; and a known subscript
+// inserts into its array directly. Worker leaf calls always stay rules.
 package stc
 
 // Prelude is the fixed runtime support library emitted ahead of every
@@ -27,24 +36,31 @@ proc sw:copy {dst src srctype dsttype} {
     turbine::store_$dsttype $dst $v
 }
 
-# Engine-side binary operator on closed operands.
-proc sw:binop {out op outtype ltype l rtype r} {
+# The value of a binary operator on two closed operands. sw:binop and
+# the fused condition of sw:if both evaluate operators here, so the two
+# cannot disagree: strings compare as strings ("+" concatenates), and
+# numbers go through expr, which promotes an int operand to float.
+proc sw:binval {op ltype l rtype r} {
     set a [turbine::retrieve_$ltype $l]
     set b [turbine::retrieve_$rtype $r]
     if {$ltype eq "string" || $rtype eq "string"} {
         switch -exact -- $op {
-            "+"  { set v "$a$b" }
-            "==" { set v [string equal $a $b] }
-            "!=" { set v [expr {![string equal $a $b]}] }
-            "<"  { set v [expr {[string compare $a $b] < 0}] }
-            "<=" { set v [expr {[string compare $a $b] <= 0}] }
-            ">"  { set v [expr {[string compare $a $b] > 0}] }
-            ">=" { set v [expr {[string compare $a $b] >= 0}] }
-            default { error "sw:binop: bad string op $op" }
+            "+"  { return "$a$b" }
+            "==" { return [string equal $a $b] }
+            "!=" { return [expr {![string equal $a $b]}] }
+            "<"  { return [expr {[string compare $a $b] < 0}] }
+            "<=" { return [expr {[string compare $a $b] <= 0}] }
+            ">"  { return [expr {[string compare $a $b] > 0}] }
+            ">=" { return [expr {[string compare $a $b] >= 0}] }
+            default { error "sw:binval: bad string op $op" }
         }
-    } else {
-        set v [expr "\$a $op \$b"]
     }
+    return [expr "\$a $op \$b"]
+}
+
+# Engine-side binary operator: stores the operator's value as outtype.
+proc sw:binop {out outtype op ltype l rtype r} {
+    set v [sw:binval $op $ltype $l $rtype $r]
     if {$outtype eq "float"} { set v [expr {double($v)}] }
     set comparison [lsearch -exact {== != < <= > >= && ||} $op]
     if {$outtype eq "integer" && $comparison < 0} {
@@ -285,10 +301,17 @@ proc sw:asplit {body freeargs warrs c hasidx} {
     foreach w $warrs { turbine::write_refcount $w -1 }
 }
 
-# Conditional: fires when the condition closes; evaluates one branch proc
-# ("-" means no else branch), then releases array write references.
+# Conditional. cond is a boolean TD id, or a comparison or logic
+# operator fused into the conditional as {op ltype l rtype r}, which
+# sw:binval evaluates once both operands are closed, so the condition
+# needs no datum of its own. Evaluates one branch proc ("-" means no else
+# branch), then releases array write references.
 proc sw:if {cond thenproc elseproc freeargs warrs} {
-    set v [turbine::retrieve_integer $cond]
+    if {[llength $cond] == 1} {
+        set v [turbine::retrieve_integer $cond]
+    } else {
+        set v [sw:binval {*}$cond]
+    }
     if {$v} {
         $thenproc {*}$freeargs
     } elseif {$elseproc ne "-"} {

@@ -51,23 +51,26 @@ func runSwift(t *testing.T, src string, size, engines, servers int) []string {
 }
 
 func tryRunSwift(src string, size, engines, servers int, setup func(*tcl.Interp, *turbine.Env) error) ([]string, error) {
+	return runWithConfig(src, size, &turbine.Config{Engines: engines, Servers: servers, Setup: setup})
+}
+
+// runWithConfig compiles src and executes it on a simulated world of
+// size ranks under cfg, whose Program and Main it fills in and whose
+// Setup it wraps to collect stdout.
+func runWithConfig(src string, size int, cfg *turbine.Config) ([]string, error) {
 	out, err := Compile(src)
 	if err != nil {
 		return nil, err
 	}
 	sink := &syncWriter{}
-	cfg := &turbine.Config{
-		Engines: engines,
-		Servers: servers,
-		Program: out.Program,
-		Main:    out.Main,
-		Setup: func(in *tcl.Interp, env *turbine.Env) error {
-			in.Out = sink
-			if setup != nil {
-				return setup(in, env)
-			}
-			return nil
-		},
+	setup := cfg.Setup
+	cfg.Program, cfg.Main = out.Program, out.Main
+	cfg.Setup = func(in *tcl.Interp, env *turbine.Env) error {
+		in.Out = sink
+		if setup != nil {
+			return setup(in, env)
+		}
+		return nil
 	}
 	w, err := mpi.NewWorld(size)
 	if err != nil {
